@@ -4,7 +4,6 @@ Monte Carlo validator."""
 
 from .bernoulli_rate import (
     BINARY_MAPS,
-    CASE_DEGENERATE,
     CASE_MARGINAL_BOUND,
     CASE_RATE_BOUND,
     MapMixture,
@@ -15,10 +14,8 @@ from .bernoulli_rate import (
     solve_mecbr,
 )
 from .bernoulli_rate_class import (
-    CandidateSolution,
     DerivedLabelParams,
     RateClassProblem,
-    candidate_solutions,
     feasibility,
     label_params,
     solve_mecbrc,
@@ -59,10 +56,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BINARY_MAPS",
     "BitsValue",
-    "CASE_DEGENERATE",
     "CASE_MARGINAL_BOUND",
     "CASE_RATE_BOUND",
-    "CandidateSolution",
     "DEFAULT_MAP_CAP",
     "DerivedLabelParams",
     "DimensionCapError",
@@ -86,7 +81,6 @@ __all__ = [
     "binary_entropy",
     "binary_entropy_derivative",
     "build_polytope",
-    "candidate_solutions",
     "conditional_entropy",
     "coupling_oracle_theta",
     "entropy",

@@ -11,22 +11,31 @@ p_U over the four deterministic binary maps
 subject to the rate budget H_b(q_X) * (p1 + p2) <= R and the marginal
 match q_X p1 + (1 - q_X) p2 + p4 = q_Y.  The goal is to maximize I(X;Y).
 
-The objective depends on the mixture only through d = p1 - p2:
+The objective depends on the mixture only through the step d = p1 - p2:
 
     I(d) = H_b(q_Y) - (1 - q_X) H_b(q_Y - q_X d) - q_X H_b(q_Y + (1 - q_X) d)
 
 which is convex in d with minimum 0 at d = 0, so the optimum sits at an
-extreme value of d.  Two extremes compete:
+extreme of d over the feasible polygon in the (p1, p2) plane.  On the
+canonical domain q_X, q_Y in (0, 1/2] the marginal match fixes p3 and
+p4, and every budget bounds only s = p1 + p2: the rate row and the rows
+p_i >= 0 cap it at hi = min(R / H_b(q_X), q_Y / q_X, 1), and the label
+row of :mod:`ratemec.bernoulli_rate_class` sets a floor lo.  Over that
+step interval the extremes of d are
 
-- aligned family (p2 = 0):  d = +min(R / H_b(q_X), q_Y / q_X, (1 - q_Y) / (1 - q_X))
-- mirrored family (p1 = 0): d = -min(R / H_b(q_X), q_Y / (1 - q_X), (1 - q_Y) / q_X)
+- aligned:  d_max(s) = min(s, (2 - 2 q_Y - s) / (1 - 2 q_X)), concave,
+  with its kink at s = (1 - q_Y) / (1 - q_X) where p2 = p3 = 0;
+- mirrored: d_min(s) = max(-s, (s - 2 q_Y) / (1 - 2 q_X)), convex,
+  with its kink at s = q_Y / (1 - q_X) where p1 = p4 = 0.
 
-``solve_mecbr`` evaluates both and keeps the larger value.  At small
-rates with interior marginals the mirrored family can win (the third
-derivative of the conditional entropy in d is positive there), so
-evaluating only the aligned family would under-report the optimum; the
-brute-force vertex oracle in :mod:`ratemec.generic_oracle` confirms the
-two-candidate maximum is exact.
+:func:`_step_interval` takes each at its kink clipped to [lo, hi] and
+keeps the larger value; a tie goes to the aligned side.  With lo = 0
+(:func:`solve_mecbr`) the two extremes are the one-sided families: all
+informative weight on the identity map, or all of it on the flip map.
+The mirrored family can win at small rates with interior marginals (the
+third derivative of the conditional entropy in d is positive there);
+the brute-force vertex oracle in :mod:`ratemec.generic_oracle` confirms
+the two-extreme maximum is exact.
 """
 
 from __future__ import annotations
@@ -44,12 +53,9 @@ from .prob_core import PROB_TOL, BitsValue, JointPmf, binary_entropy
 BINARY_MAPS = np.array([[0, 1], [1, 0], [0, 0], [1, 1]], dtype=np.int8)
 BINARY_MAPS.flags.writeable = False
 
-#: Case labels reported by the rate solver. "Degenerate" is reserved for a
-#: zero-entropy source; domain validation rejects q_X in {0, 1} before that
-#: branch can be reached, so current callers never see it.
+#: Case labels reported by the rate solver.
 CASE_RATE_BOUND = "RateBound"
 CASE_MARGINAL_BOUND = "MarginalBound"
-CASE_DEGENERATE = "Degenerate"
 
 
 def _check_marginal(q: float, name: str, extend: bool) -> None:
@@ -201,23 +207,35 @@ def saturation_rate(q_x: float, q_y: float) -> float:
     return binary_entropy(p.q_x) * cap
 
 
-def _solve_core(q_x: float, q_y: float, rate: float):
-    """Two-candidate maximum on the canonical domain q_x, q_y in (0, 1/2]."""
-    rate_cap = rate / binary_entropy(q_x)
-    cap_plus = min(q_y / q_x, (1.0 - q_y) / (1.0 - q_x))
-    cap_minus = min(q_y / (1.0 - q_x), (1.0 - q_y) / q_x)
-    d_plus = min(rate_cap, cap_plus)
-    d_minus = min(rate_cap, cap_minus)
-    v_plus = _objective_value(q_x, q_y, d_plus)
-    v_minus = _objective_value(q_x, q_y, -d_minus)
-    if v_plus >= v_minus:
-        step, cap, value = d_plus, cap_plus, v_plus
-        weights = (step, 0.0, 1.0 - q_y - (1.0 - q_x) * step, q_y - q_x * step)
-    else:
-        step, cap, value = d_minus, cap_minus, v_minus
-        weights = (0.0, step, 1.0 - q_y - q_x * step, q_y - (1.0 - q_x) * step)
-    label = CASE_RATE_BOUND if rate_cap < cap else CASE_MARGINAL_BOUND
-    return value, weights, label, step
+def _step_interval(q_x: float, q_y: float, lo: float, hi: float):
+    """Best step d = p1 - p2 with lo <= p1 + p2 <= hi, for q_x, q_y in (0, 1/2].
+
+    Needs 0 <= lo <= hi <= min(q_y / q_x, 1).  Each extreme of d sits at
+    its kink clipped to [lo, hi]; past the kink it lies on the p3 = 0
+    (aligned) or p4 = 0 (mirrored) row.  At q_x = 1/2 both kinks are at
+    or beyond hi, so the division by 1 - 2 q_x is never reached there.
+    Returns the value (clamped at 0), the weights (p1, p2, p3, p4) and d.
+    """
+    k_up = (1.0 - q_y) / (1.0 - q_x)
+    s_up = min(max(k_up, lo), hi)
+    d_up = s_up if s_up <= k_up else (2.0 - 2.0 * q_y - s_up) / (1.0 - 2.0 * q_x)
+    k_dn = q_y / (1.0 - q_x)
+    s_dn = min(max(k_dn, lo), hi)
+    d_dn = -s_dn if s_dn <= k_dn else (s_dn - 2.0 * q_y) / (1.0 - 2.0 * q_x)
+    # Near q_x = 1/2 that division amplifies the rounding of s; p1, p2 >= 0
+    # need |d| <= s.
+    d_up, d_dn = min(d_up, s_up), max(min(d_dn, s_dn), -s_dn)
+    v_up = _objective_value(q_x, q_y, d_up)
+    v_dn = _objective_value(q_x, q_y, d_dn)
+    s, d, value = (s_up, d_up, v_up) if v_up >= v_dn else (s_dn, d_dn, v_dn)
+    p1, p2 = (s + d) / 2.0, (s - d) / 2.0
+    weights = (
+        p1,
+        p2,
+        1.0 - q_y - (1.0 - q_x) * p1 - q_x * p2,
+        q_y - q_x * p1 - (1.0 - q_x) * p2,
+    )
+    return max(value, 0.0), weights, d
 
 
 def solve_mecbr(p: RateProblem) -> SolverResult:
@@ -240,7 +258,12 @@ def solve_mecbr(p: RateProblem) -> SolverResult:
         reflected = "y"
         q_y = 1.0 - q_y
 
-    value, weights, label, step = _solve_core(q_x, q_y, p.rate)
+    rate_cap = p.rate / binary_entropy(q_x)
+    marginal_cap = min(q_y / q_x, 1.0)
+    value, weights, step = _step_interval(q_x, q_y, 0.0, min(rate_cap, marginal_cap))
+    # The rate row binds unless the winner's marginal rows stop it first.
+    kink = (1.0 - q_y) / (1.0 - q_x) if step >= 0.0 else q_y / (1.0 - q_x)
+    label = CASE_RATE_BOUND if rate_cap < min(marginal_cap, kink) else CASE_MARGINAL_BOUND
 
     w1, w2, w3, w4 = weights
     if reflected == "x":
@@ -256,6 +279,6 @@ def solve_mecbr(p: RateProblem) -> SolverResult:
         value=value,
         mixture=MapMixture(w1, w2, w3, w4),
         case_label=label,
-        alpha=step,
+        alpha=abs(step),
         reflected=reflected,
     )

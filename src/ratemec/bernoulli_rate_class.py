@@ -10,48 +10,40 @@ where m = (1 - q_X)(1 - q_S1) + q_X q_S1 is the probability that a
 constant-map output agrees with the label.  The bijective maps leave
 label uncertainty H_b(q_S1) while constant maps leave H_b(m), and since
 H_b(m) >= H_b(q_S1) always (see :func:`label_params`), the label row is
-a FLOOR on the informative weight:
+a FLOOR on the informative weight s = p1 + p2:
 
-    p1 + p2 >= (H_b(m) - C) / (H_b(m) - H_b(q_S1))    whenever C < H_b(m).
+    s >= L = (H_b(m) - C) / (H_b(m) - H_b(q_S1))    whenever C < H_b(m).
 
-Two consequences drive this module's semantics:
+So the feasible set is the step interval max(L, 0) <= s <= hi, with
+hi = min(R / H_b(q_X), q_Y / q_X, 1) the cap from the rate row and the
+marginal rows, and :func:`solve_mecbrc` solves it with the same closed
+form as the rate-only solver: each extreme of d = p1 - p2 sits at its
+kink clipped to the interval, the larger value wins, and a tie goes to
+the aligned side (PartI).  Consequences:
 
-- The label budget gates feasibility and bounds the informative weight
-  only from below.  A small C forces weight onto the bijective maps,
-  which the rate budget may not allow; then the instance is infeasible
-  and :func:`solve_mecbrc` raises :class:`~ratemec.errors.InfeasibleError`.
-  Above that minimum rate the optimum never exceeds the rate-only one,
+- The label budget gates feasibility and bounds s only from below.  A
+  small C forces weight onto the bijective maps, which the rate budget
+  or the marginals may not allow; then L > hi and :func:`solve_mecbrc`
+  raises :class:`~ratemec.errors.InfeasibleError` naming the cap that
+  binds.
+- Above that minimum rate the optimum never exceeds the rate-only one,
   and falls below it only where the rate-only optimum puts less than
   the floor on the bijective maps (for instance, a flip-only optimum
-  when the floor exceeds the flip family's marginal cap).
-- Whenever the instance is feasible, the optimum is found among the
-  vertices of the feasible polygon in the (p1, p2) plane.  The classic
-  one-sided candidate families (all informative weight on the identity
-  map, or all of it on the flip map) are vertices of that polygon, but
-  so are mixed points with p1 > 0 and p2 > 0, which can win once the
-  label floor exceeds a one-sided marginal cap; :func:`solve_mecbrc`
-  enumerates every vertex, which the brute-force oracle confirms is
-  exact.
-
-:func:`candidate_solutions` exposes the same vertex set as named
-analytic formulas with honest per-constraint slacks, for callers that
-want to inspect which branch a given instance selects and why the
-others lose.
+  when the floor exceeds the flip family's marginal cap).  The winner
+  can then be a mixed point on the floor with p1 > 0 and p2 > 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
-import numpy as np
-
-from .bernoulli_rate import MapMixture, SolverResult, _objective_value
+from .bernoulli_rate import MapMixture, SolverResult, _step_interval
 from .errors import DomainError, InfeasibleError
 from .prob_core import BitsValue, binary_entropy
 
-#: Feasibility slack used when filtering candidate mixtures.
+#: How far, in weight, the label floor may exceed the largest feasible
+#: informative weight before the instance counts as infeasible.
 FEAS_TOL = 1e-9
 
 #: Below this gap H_b(m) - H_b(q_S1) the label row is treated as constant
@@ -133,27 +125,6 @@ def feasibility(p: RateClassProblem) -> bool:
     return p.cclass >= binary_entropy(p.q_s1) - 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class CandidateSolution:
-    """One analytic candidate with honest feasibility bookkeeping.
-
-    ``weights`` always holds the raw formula output (possibly outside the
-    simplex); ``mixture`` is the validated projection and is None when
-    the raw weights are not a distribution.  ``slacks`` maps constraint
-    names to signed slack (>= 0 means satisfied; the label row's is in
-    weight, see :func:`_slacks_for`); ``feasible`` is true
-    when every slack clears -FEAS_TOL.  ``value`` is NaN for candidates
-    whose weights leave the simplex by more than FEAS_TOL.
-    """
-
-    branch: str
-    weights: np.ndarray
-    value: BitsValue
-    feasible: bool
-    slacks: dict[str, float]
-    mixture: MapMixture | None
-
-
 def _label_floor(p: RateClassProblem, lp: DerivedLabelParams) -> float | None:
     """The floor (H_b(m) - C) / (H_b(m) - H_b(q_S1)) on p1 + p2.
 
@@ -166,105 +137,40 @@ def _label_floor(p: RateClassProblem, lp: DerivedLabelParams) -> float | None:
 
 
 def _slacks_for(
-    weights: np.ndarray,
+    mixture: MapMixture,
     p: RateClassProblem,
     lp: DerivedLabelParams,
     floor: float | None,
-) -> dict[str, float]:
-    """Signed slack of every row; >= 0 means the row holds.
+) -> tuple[float, float]:
+    """Signed slacks (rate, label) of the two budget rows; >= 0 holds.
 
-    The label row is measured in weight, as (p1 + p2) - floor.  In bits
-    its slack is that times the gap H_b(m) - H_b(q_S1), which shrinks to
-    zero as q_S1 nears 1/2, so a fixed tolerance in bits would admit
-    weights far below the floor.  Without a floor the constant row's
-    slack C - H_b(m) is reported in bits.
+    The other rows hold by construction.  The label slack is in weight,
+    (p1 + p2) - floor, because in bits it shrinks with the gap
+    H_b(m) - H_b(q_S1) as q_S1 nears 1/2; without a floor it is C minus
+    the constant row, in bits.
     """
-    p1, p2, p3, p4 = (float(v) for v in weights)
-    hbx = binary_entropy(p.q_x)
+    s = mixture.p1 + mixture.p2
     if floor is None:
-        label_slack = p.cclass - ((p1 + p2) * lp.h_b_qs1 + (p3 + p4) * lp.h_b_m)
+        label_slack = p.cclass - (s * lp.h_b_qs1 + (mixture.p3 + mixture.p4) * lp.h_b_m)
     else:
-        label_slack = p1 + p2 - floor
-    return {
-        "nonneg": min(p1, p2, p3, p4),
-        "simplex": -abs(p1 + p2 + p3 + p4 - 1.0),
-        "marginal": -abs(p.q_x * p1 + (1.0 - p.q_x) * p2 + p4 - p.q_y),
-        "rate": p.rate - hbx * (p1 + p2),
-        "classification": label_slack,
-    }
+        label_slack = s - floor
+    return p.rate - binary_entropy(p.q_x) * s, label_slack
 
 
-def _candidate(
-    branch: str,
-    weights,
-    p: RateClassProblem,
-    lp: DerivedLabelParams,
-    floor: float | None,
-) -> CandidateSolution:
-    w = np.asarray(weights, dtype=float)
-    slacks = _slacks_for(w, p, lp, floor)
-    feasible = all(s >= -FEAS_TOL for s in slacks.values())
-    if w.min() >= -FEAS_TOL and w.max() <= 1.0 + FEAS_TOL:
-        value = _objective_value(p.q_x, p.q_y, float(w[0] - w[1]))
-    else:
-        value = float("nan")
-    mixture = None
-    if w.min() >= -FEAS_TOL:
-        clipped = np.clip(w, 0.0, None)
-        mixture = MapMixture(*(clipped / clipped.sum()))
-    return CandidateSolution(
-        branch=branch,
-        weights=w,
-        value=value,
-        feasible=feasible,
-        slacks=slacks,
-        mixture=mixture,
-    )
+def solve_mecbrc(p: RateClassProblem) -> SolverResult:
+    """Maximize I(X;Y) under both the rate budget and the label budget.
 
+    Raises :class:`InfeasibleError` in two situations: the label budget
+    is below the floor H_b(q_S1) that even bijective maps cannot beat, or
+    the budgets are individually sensible but jointly unsatisfiable (the
+    label floor exceeds hi by more than ``FEAS_TOL`` in weight; the
+    message names whichever cap sets hi).
 
-def _aligned_weights(q_x: float, q_y: float, s: float):
-    return (s, 0.0, 1.0 - q_y - (1.0 - q_x) * s, q_y - q_x * s)
-
-
-def _mirrored_weights(q_x: float, q_y: float, s: float):
-    return (0.0, s, 1.0 - q_y - q_x * s, q_y - (1.0 - q_x) * s)
-
-
-def _full_weights(q_x: float, q_y: float, p1: float, p2: float):
-    p4 = q_y - q_x * p1 - (1.0 - q_x) * p2
-    return (p1, p2, 1.0 - p1 - p2 - p4, p4)
-
-
-def candidate_solutions(p: RateClassProblem) -> list[CandidateSolution]:
-    """Every analytic candidate point, each with feasibility slacks.
-
-    The feasible set is a polygon in the (p1, p2) plane and the objective
-    depends on p1 - p2 alone, so the optimum is one of at most ten vertex
-    candidates, all emitted here:
-
-    - ``PartI-Case1`` / ``PartII-Case1``: all informative weight on one
-      bijective map, stepped to the rate budget R / H_b(q_X).
-    - ``PartI-Case2``/``Case3`` and ``PartII-Case2``/``Case3``: the same
-      one-sided families stepped to the label floor
-      (H_b(m) - C) / (H_b(m) - H_b(q_S1)).  Skipped when H_b(m) equals
-      H_b(q_S1) within 1e-12 (q_S1 = 1/2), where the label row is the
-      constant 1 and can never be active.
-    - ``PartI-Case4`` / ``PartII-Case4``: one-sided weight at the
-      marginal cap of its family, where a component weight hits zero
-      (the unconstrained-coupling points).
-    - ``PartI-FloorCap`` / ``PartII-FloorCap``: the label floor meeting
-      the p3 = 0 or p4 = 0 marginal row with both p1 and p2 positive.
-      These mixed points are the step extremes whenever the floor
-      exceeds a one-sided marginal cap, and no one-sided candidate is
-      feasible there.  Emitted only when the floor is positive and
-      q_X is not 1/2 (at q_X = 1/2 the floor parallels the marginal
-      rows and the one-sided candidates already cover the polygon).
-
-    Candidates are reported with honest slacks, not pre-filtered: a
-    label-active candidate whose step the rate budget cannot fund shows
-    a negative rate slack, and steps beyond the marginal caps show
-    negative component weights and a NaN value.  The best feasible
-    candidate always matches :func:`solve_mecbrc`.
+    The case label reports the sign of the winning step (PartI for
+    p1 >= p2, PartII otherwise) and which budget rows are tight at the
+    winner: Case1 rate only, Case2 label only, Case3 both, Case4 neither.
+    A row is tight when its slack from :func:`_slacks_for` is within
+    ``ACTIVE_TOL``.  ``alpha`` is the winning step |p1 - p2|.
     """
     if not feasibility(p):
         raise InfeasibleError(
@@ -272,138 +178,27 @@ def candidate_solutions(p: RateClassProblem) -> list[CandidateSolution]:
             f"H_b(q_S1)={binary_entropy(p.q_s1)!r}; no coupling can satisfy it"
         )
     lp = label_params(p)
-    rate_step = p.rate / binary_entropy(p.q_x)
-    label_step = _label_floor(p, lp)
-    cap_plus = min(p.q_y / p.q_x, (1.0 - p.q_y) / (1.0 - p.q_x))
-    cap_minus = min(p.q_y / (1.0 - p.q_x), (1.0 - p.q_y) / p.q_x)
-
-    def cand(branch: str, weights) -> CandidateSolution:
-        return _candidate(branch, weights, p, lp, label_step)
-
-    out = [
-        cand("PartI-Case1", _aligned_weights(p.q_x, p.q_y, rate_step)),
-        cand("PartII-Case1", _mirrored_weights(p.q_x, p.q_y, rate_step)),
-    ]
-    if label_step is not None:
-        for branch, builder in (
-            ("PartI-Case2", _aligned_weights),
-            ("PartI-Case3", _aligned_weights),
-            ("PartII-Case2", _mirrored_weights),
-            ("PartII-Case3", _mirrored_weights),
-        ):
-            out.append(cand(branch, builder(p.q_x, p.q_y, label_step)))
-    out.append(cand("PartI-Case4", _aligned_weights(p.q_x, p.q_y, cap_plus)))
-    out.append(cand("PartII-Case4", _mirrored_weights(p.q_x, p.q_y, cap_minus)))
-    if (
-        label_step is not None
-        and label_step > 0.0
-        and abs(1.0 - 2.0 * p.q_x) > 1e-9
-    ):
-        denom = 1.0 - 2.0 * p.q_x
-        p1 = (1.0 - p.q_y - p.q_x * label_step) / denom
-        out.append(
-            cand("PartI-FloorCap", _full_weights(p.q_x, p.q_y, p1, label_step - p1))
-        )
-        p2 = (p.q_y - p.q_x * label_step) / denom
-        out.append(
-            cand("PartII-FloorCap", _full_weights(p.q_x, p.q_y, label_step - p2, p2))
-        )
-    return out
-
-
-def _vertex_points(
-    p: RateClassProblem, lp: DerivedLabelParams, floor: float | None
-):
-    """All intersection points of the constraint lines in the (p1, p2) plane.
-
-    With p4 forced by the marginal match and p3 by normalization, the
-    feasible set is a polygon cut out by six lines: p1 = 0, p2 = 0,
-    p4 = 0, p3 = 0, the rate cap p1 + p2 = R / H_b(q_X), and (when it
-    exists) the label floor p1 + p2 = (H_b(m) - C) / (H_b(m) - H_b(q_S1)).
-    The objective is convex on the polygon (it depends on p1 - p2 alone),
-    so the maximum sits at a vertex, hence at one of these intersections.
-    """
-    hbx = binary_entropy(p.q_x)
-    rate_step = p.rate / hbx
-    lines = [
-        (1.0, 0.0, 0.0),  # p1 = 0
-        (0.0, 1.0, 0.0),  # p2 = 0
-        (p.q_x, 1.0 - p.q_x, p.q_y),  # p4 = 0
-        (1.0 - p.q_x, p.q_x, 1.0 - p.q_y),  # p3 = 0
-        (1.0, 1.0, rate_step),  # rate cap
-    ]
-    if floor is not None and p.cclass < lp.h_b_m - DEGENERATE_GAP:
-        lines.append((1.0, 1.0, floor))  # label floor
-
-    points = []
-    for (a1, b1, c1), (a2, b2, c2) in combinations(lines, 2):
-        det = a1 * b2 - a2 * b1
-        if abs(det) < 1e-11:
-            continue
-        p1 = (c1 * b2 - c2 * b1) / det
-        p2 = (a1 * c2 - a2 * c1) / det
-        p4 = p.q_y - p.q_x * p1 - (1.0 - p.q_x) * p2
-        p3 = 1.0 - p1 - p2 - p4
-        points.append(np.array([p1, p2, p3, p4]))
-    return points
-
-
-def solve_mecbrc(p: RateClassProblem) -> SolverResult:
-    """Maximize I(X;Y) under both the rate budget and the label budget.
-
-    Enumerates every vertex of the feasible polygon, filters by all five
-    constraint rows at tolerance ``FEAS_TOL`` (the label row in weight,
-    as a floor on p1 + p2), and returns the best.  The winning mixture
-    is projected onto the simplex (tiny negatives clamped, then
-    renormalized).
-
-    Raises :class:`InfeasibleError` in two situations: the label budget
-    is below the floor H_b(q_S1) that even bijective maps cannot beat, or
-    the budgets are individually sensible but jointly unsatisfiable (the
-    label row demands more informative weight than the rate budget funds).
-
-    The case label reports the sign of the winning step (PartI for
-    p1 >= p2, PartII otherwise) and which budget rows are tight at the
-    winner: Case1 rate only, Case2 label only, Case3 both, Case4 neither.
-    A row is tight when its slack from :func:`_slacks_for` is within
-    ``ACTIVE_TOL``.
-    """
-    hbs1 = binary_entropy(p.q_s1)
-    if p.cclass < hbs1 - 1e-12:
-        raise InfeasibleError(
-            f"classification budget C={p.cclass!r} is below "
-            f"H_b(q_S1)={hbs1!r}; no coupling can satisfy it"
-        )
-    lp = label_params(p)
     floor = _label_floor(p, lp)
-
-    best_value = -1.0
-    best_weights = None
-    for w in _vertex_points(p, lp, floor):
-        slacks = _slacks_for(w, p, lp, floor)
-        if any(s < -FEAS_TOL for s in slacks.values()):
-            continue
-        value = _objective_value(
-            p.q_x, p.q_y, float(np.clip(w[0], 0.0, None) - np.clip(w[1], 0.0, None))
+    rate_cap = p.rate / binary_entropy(p.q_x)
+    marginal_cap = min(p.q_y / p.q_x, 1.0)
+    hi = min(rate_cap, marginal_cap)
+    lo = 0.0 if floor is None else max(floor, 0.0)
+    if lo > hi + FEAS_TOL:
+        cap = (
+            f"the rate budget allows at most R / H_b(q_X) = {rate_cap!r}"
+            if rate_cap <= marginal_cap
+            else f"the marginals allow at most min(q_Y / q_X, 1) = {marginal_cap!r}"
         )
-        if value > best_value:
-            best_value = value
-            best_weights = w
-    if best_weights is None:
         raise InfeasibleError(
             "budgets are jointly unsatisfiable: the label row requires "
-            f"informative weight p1 + p2 >= {floor!r} but the rate "
-            f"budget allows at most {p.rate / binary_entropy(p.q_x)!r}"
+            f"informative weight p1 + p2 >= {floor!r} but {cap}"
         )
 
-    clipped = np.clip(best_weights, 0.0, None)
-    weights = clipped / clipped.sum()
+    value, weights, step = _step_interval(p.q_x, p.q_y, min(lo, hi), hi)
     mixture = MapMixture(*weights)
-    step = mixture.p1 - mixture.p2
-
-    slacks = _slacks_for(weights, p, lp, floor)
-    rate_active = abs(slacks["rate"]) <= ACTIVE_TOL
-    label_active = abs(slacks["classification"]) <= ACTIVE_TOL
+    rate_slack, label_slack = _slacks_for(mixture, p, lp, floor)
+    rate_active = abs(rate_slack) <= ACTIVE_TOL
+    label_active = abs(label_slack) <= ACTIVE_TOL
     part = "PartI" if step >= 0.0 else "PartII"
     if rate_active and label_active:
         case = "Case3"
@@ -415,7 +210,7 @@ def solve_mecbrc(p: RateClassProblem) -> SolverResult:
         case = "Case4"
 
     return SolverResult(
-        value=max(best_value, 0.0),
+        value=value,
         mixture=mixture,
         case_label=f"{part}-{case}",
         alpha=abs(step),

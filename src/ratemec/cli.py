@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .bernoulli_rate import MapMixture, RateProblem, solve_mecbr
 from .bernoulli_rate_class import RateClassProblem, solve_mecbrc
 from .errors import (
@@ -44,8 +45,6 @@ from .generic_oracle import (
 )
 from .mc_sim import SimConfig, simulate, verify_constraints
 from .prob_core import Pmf
-
-_VERSION = "0.1.0"
 
 #: Fixed curve-point schema; columns are never dropped, only left empty.
 SCHEMA = "qx,qy,qs1,rate,cclass,value_bits,p1,p2,p3,p4,case_label,alpha"
@@ -221,7 +220,7 @@ def _emit(text: str, args: argparse.Namespace) -> None:
 
 def _meta_lines(args: argparse.Namespace) -> list[str]:
     echo = " ".join(getattr(args, "argv_echo", []))
-    return [f"# ratemec {_VERSION}", f"# command: {echo}"]
+    return [f"# ratemec {__version__}", f"# command: {echo}"]
 
 
 def _solve_point(

@@ -26,7 +26,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .bernoulli_rate import MapMixture, SolverResult
+from .bernoulli_rate import BINARY_MAPS, MapMixture, SolverResult
 from .errors import DimensionCapError, DomainError, InfeasibleError
 from .prob_core import (
     BitsValue,
@@ -51,6 +51,10 @@ INEQ_TOL = 1e-10
 
 #: Singularity threshold for active-set linear systems.
 RANK_TOL = 1e-11
+
+#: The label row may be violated by at most this much in weight, the
+#: closed form's tolerance (see :func:`_label_row_in_weight`).
+LABEL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +155,7 @@ def enumerate_maps(
             raise DomainError(f"q_s1={q_s1!r} outside the solver domain (0, 0.5]")
 
     if n == 2 and k == 2:
-        maps = np.array([[0, 1], [1, 0], [0, 0], [1, 1]], dtype=np.int64)
+        maps = BINARY_MAPS.astype(np.int64)
     else:
         maps = np.array(list(product(range(k), repeat=n)), dtype=np.int64)
 
@@ -257,12 +261,42 @@ def _joint_from_weights(maps: MapTable, p_x: Pmf, w: np.ndarray) -> JointPmf:
     return JointPmf(p_x.masses[:, None] * cond)
 
 
+def _label_row_in_weight(polytope: LinearPolytope):
+    """The inequality rows with the label row measured in weight.
+
+    The label row's coefficients can differ by a tiny gap (H_b(m) and
+    H_b(q_S1) as q_S1 nears 1/2), so a slack in bits admits weights far
+    below what the row demands.  Shifting the row by its minimum
+    coefficient is exact through the simplex row; dividing it by its
+    range, when that exceeds 1e-12, turns its slack into weight, checked
+    at ``LABEL_TOL``.  A narrower row is constant (q_S1 = 1/2) and is
+    checked as the closed form's gate, C >= min - 1e-12.  Returns the
+    rows, bounds and per-row tolerances.
+    """
+    a_ub, b_ub = polytope.a_ub.copy(), polytope.b_ub.copy()
+    tol = np.full(b_ub.shape, INEQ_TOL)
+    if "classification" in polytope.ub_names:
+        i = polytope.ub_names.index("classification")
+        low = a_ub[i].min()
+        a_ub[i] -= low
+        b_ub[i] -= low
+        span = a_ub[i].max()
+        if span > 1e-12:
+            a_ub[i] /= span
+            b_ub[i] /= span
+            tol[i] = LABEL_TOL
+        else:
+            tol[i] = 1e-12
+    return a_ub, b_ub, tol
+
+
 def solve_vertex(polytope: LinearPolytope, maps: MapTable, p_x: Pmf) -> SolverResult:
     """Maximize I(X;Y) over the polytope by basic-feasible-point enumeration.
 
     Every active set pairing the independent equality rows with enough
     inequality rows to reach full rank yields one candidate point; points
-    violating any constraint row beyond tolerance are discarded, the rest
+    violating any constraint row beyond tolerance (the label row in
+    weight, see :func:`_label_row_in_weight`) are discarded, the rest
     are scored by mutual information after a clamp-and-renormalize
     projection.  Ties within 1e-12 prefer the smaller support, matching
     the cardinality bound that an optimal mixture never needs more than
@@ -274,12 +308,13 @@ def solve_vertex(polytope: LinearPolytope, maps: MapTable, p_x: Pmf) -> SolverRe
     if need < 0:
         raise DomainError("equality system overdetermines the mixture weights")
 
+    a_ub, b_ub, ub_tol = _label_row_in_weight(polytope)
     best_value = -1.0
     best_weights: np.ndarray | None = None
     best_support = count + 1
-    for combo in combinations(range(polytope.a_ub.shape[0]), need):
-        a = np.vstack([eq_a, polytope.a_ub[list(combo)]]) if need else eq_a
-        b = np.concatenate([eq_b, polytope.b_ub[list(combo)]]) if need else eq_b
+    for combo in combinations(range(a_ub.shape[0]), need):
+        a = np.vstack([eq_a, a_ub[list(combo)]]) if need else eq_a
+        b = np.concatenate([eq_b, b_ub[list(combo)]]) if need else eq_b
         if np.linalg.matrix_rank(a, tol=RANK_TOL) < count:
             continue
         try:
@@ -288,7 +323,7 @@ def solve_vertex(polytope: LinearPolytope, maps: MapTable, p_x: Pmf) -> SolverRe
             continue
         if np.max(np.abs(polytope.a_eq @ w - polytope.b_eq)) > EQ_TOL:
             continue
-        if np.min(polytope.b_ub - polytope.a_ub @ w) < -INEQ_TOL:
+        if np.any(b_ub - a_ub @ w < -ub_tol):
             continue
         clipped = np.clip(w, 0.0, None)
         clipped /= clipped.sum()

@@ -54,6 +54,8 @@ class SimConfig:
             raise DomainError(f"mixture must be a MapMixture, got {type(self.mixture).__name__}")
         if self.samples < 1:
             raise DomainError(f"samples must be >= 1, got {self.samples!r}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed!r}")
         if self.streams < 1:
             raise DomainError(f"streams must be >= 1, got {self.streams!r}")
 

@@ -1,4 +1,4 @@
-"""Label-budget solver: feasibility gate, candidate table, frozen optima."""
+"""Label-budget solver: feasibility gate, vertex-oracle agreement, frozen optima."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,20 @@ import pytest
 from ratemec import (
     DomainError,
     InfeasibleError,
+    Pmf,
     RateClassProblem,
     RateProblem,
     binary_entropy,
-    candidate_solutions,
+    build_polytope,
+    enumerate_maps,
     feasibility,
     label_params,
     mutual_information,
     solve_mecbr,
     solve_mecbrc,
+    solve_vertex,
 )
+from ratemec.bernoulli_rate import _objective_value
 
 # Frozen references computed with 50-digit arithmetic and rounded to double.
 HB_M_03_001 = 0.8861256474645222         # H_b of the blended label marginal
@@ -26,6 +30,18 @@ VALUE_FIG5_PLATEAU = 0.5567796494470395
 CLASS_SAT_RATE = 0.7553921993405937      # H_b(0.3) * 6/7
 VALUE_R02_NOCLASS_FLIP = 0.03392933079845359
 VALUE_R02_NOCLASS_IDENT = 0.0321444387532773
+
+
+def _vertex_value(p):
+    """2x2 vertex-oracle value with both budgets, or None if infeasible."""
+    p_x = Pmf(np.array([1.0 - p.q_x, p.q_x]))
+    p_y = Pmf(np.array([1.0 - p.q_y, p.q_y]))
+    table = enumerate_maps(2, 2, p_x, q_s1=p.q_s1)
+    poly = build_polytope(table, p_y, rate=p.rate, cclass=p.cclass)
+    try:
+        return solve_vertex(poly, table, p_x).value
+    except InfeasibleError:
+        return None
 
 
 def test_problem_validation():
@@ -65,31 +81,6 @@ def test_feasibility_gate_threshold():
 def test_gate_failure_raises_with_threshold_in_message():
     with pytest.raises(InfeasibleError, match="H_b\\(q_S1\\)"):
         solve_mecbrc(RateClassProblem(0.3, 0.4, 0.1, 1.0, 0.05))
-    with pytest.raises(InfeasibleError):
-        candidate_solutions(RateClassProblem(0.3, 0.4, 0.1, 1.0, 0.05))
-
-
-def test_candidate_table_structure():
-    cands = candidate_solutions(RateClassProblem(0.3, 0.4, 0.01, 0.6, 0.4))
-    branches = [c.branch for c in cands]
-    assert "PartI-Case1" in branches
-    assert "PartII-Case1" in branches
-    assert "PartI-Case4" in branches
-    assert len(cands) <= 10
-    for c in cands:
-        assert set(c.slacks) == {"nonneg", "simplex", "marginal", "rate", "classification"}
-        if c.feasible:
-            assert all(s >= -1e-9 for s in c.slacks.values())
-            assert np.isfinite(c.value)
-
-
-def test_candidate_table_shrinks_when_label_is_uninformative():
-    # q_s1 = 0.5 collapses the label side; only the budget-step family
-    # and the two marginal-cap candidates remain.
-    cands = candidate_solutions(RateClassProblem(0.3, 0.4, 0.5, 0.6, 1.0))
-    assert {c.branch for c in cands} == {
-        "PartI-Case1", "PartII-Case1", "PartI-Case4", "PartII-Case4",
-    }
 
 
 def test_flip_side_marginal_cap_candidate_can_win():
@@ -98,31 +89,29 @@ def test_flip_side_marginal_cap_candidate_can_win():
     p = RateClassProblem(0.38, 0.43, 0.41, 0.67, 1.9)
     res = solve_mecbrc(p)
     assert res.case_label == "PartII-Case4"
-    winner = max(
-        (c for c in candidate_solutions(p) if c.feasible), key=lambda c: c.value
-    )
-    assert winner.branch == "PartII-Case4"
-    assert winner.value == pytest.approx(res.value, abs=1e-12)
+    assert res.value == pytest.approx(_vertex_value(p), abs=1e-12)
     assert res.mixture.p2 == pytest.approx(0.43 / 0.62, abs=1e-9)
 
 
 def test_floor_cap_candidate_can_be_the_only_feasible_one():
     # A label floor above the one-sided marginal cap leaves no feasible
-    # one-sided candidate, yet the instance is feasible: the optimum
-    # pairs the floor with the p3 = 0 row at p1 > 0 and p2 > 0.
+    # one-sided mixture, yet the instance is feasible: the optimum pairs
+    # the floor with the p3 = 0 row at p1 > 0 and p2 > 0.
     p = RateClassProblem(0.1, 0.45, 0.3, 0.6, binary_entropy(0.3) + 0.001)
+    floor, _ = _floor_and_gap(p)
     res = solve_mecbrc(p)
-    cands = candidate_solutions(p)
-    feasible = [c for c in cands if c.feasible]
-    assert {c.branch for c in feasible} <= {"PartI-FloorCap", "PartII-FloorCap"}
-    winner = max(feasible, key=lambda c: c.value)
-    assert winner.branch == "PartI-FloorCap"
-    assert winner.value == pytest.approx(res.value, abs=1e-12)
+    assert res.case_label == "PartI-Case2"
+    assert res.value == pytest.approx(_vertex_value(p), abs=1e-12)
     assert res.mixture.p1 > 0.5 and res.mixture.p2 > 0.4
+    assert res.mixture.p1 + res.mixture.p2 == pytest.approx(floor, abs=1e-12)
+    assert res.mixture.p3 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_best_feasible_candidate_matches_solver():
+    # The best feasible vertex of the 2x2 polytope (the vertex oracle)
+    # agrees with the closed form in verdict and value.
     rng = np.random.default_rng(32)
+    feasible = 0
     for _ in range(200):
         q_x = rng.uniform(0.01, 0.5)
         q_y = rng.uniform(0.01, 0.5)
@@ -131,14 +120,15 @@ def test_best_feasible_candidate_matches_solver():
         cclass = binary_entropy(q_s1) + rng.uniform(0.0, 1.0)
         p = RateClassProblem(q_x, q_y, q_s1, rate, cclass)
         try:
-            res = solve_mecbrc(p)
+            value = solve_mecbrc(p).value
         except InfeasibleError:
-            continue
-        best = max(
-            (c.value for c in candidate_solutions(p) if c.feasible), default=None
-        )
-        assert best is not None
-        assert res.value == pytest.approx(best, abs=1e-9)
+            value = None
+        vertex = _vertex_value(p)
+        assert (value is None) == (vertex is None), p
+        if value is not None:
+            feasible += 1
+            assert value == pytest.approx(vertex, abs=1e-9)
+    assert feasible > 150
 
 
 def test_solver_frozen_rate_bound_point():
@@ -188,6 +178,49 @@ def test_loose_label_budget_reduces_to_rate_only():
         with_label = solve_mecbrc(RateClassProblem(q_x, q_y, q_s1, rate, 2.0))
         rate_only = solve_mecbr(RateProblem(q_x, q_y, rate))
         assert with_label.value == pytest.approx(rate_only.value, abs=1e-10)
+
+
+def test_slack_label_budget_gives_the_rate_only_answer_bitwise():
+    # With C >= H_b(m) the label floor is at most 0, so both solvers run the
+    # same step interval [0, hi] and must agree to the last bit.
+    rng = np.random.default_rng(36)
+    for i in range(2000):
+        q_x = 0.5 if i % 10 == 0 else rng.uniform(0.01, 0.5)
+        q_y = rng.uniform(0.01, 0.5)
+        q_s1 = rng.uniform(0.01, 0.5)
+        rate = rng.uniform(0.0, 1.2)
+        h_b_m = label_params(RateClassProblem(q_x, q_y, q_s1, rate, 1.0)).h_b_m
+        cclass = h_b_m if i % 3 == 0 else h_b_m + rng.uniform(0.0, 1.0)
+        with_label = solve_mecbrc(RateClassProblem(q_x, q_y, q_s1, rate, cclass))
+        rate_only = solve_mecbr(RateProblem(q_x, q_y, rate))
+        assert with_label.value == rate_only.value
+        assert with_label.mixture == rate_only.mixture
+        assert with_label.alpha == rate_only.alpha
+
+
+def test_exact_tie_at_half_source_goes_to_the_aligned_side():
+    # At q_X = 1/2, I(d) = I(-d) and both extremes of d sit at s = hi, so a
+    # binding label floor changes nothing: the answer is the rate-only one,
+    # and when the two extremes' values tie to the last bit, PartI wins.
+    rng = np.random.default_rng(37)
+    ties = 0
+    for _ in range(400):
+        q_y = rng.uniform(0.01, 0.5)
+        q_s1 = rng.uniform(0.01, 0.5)
+        rate = rng.uniform(0.0, 1.2)
+        lp = label_params(RateClassProblem(0.5, q_y, q_s1, rate, 1.0))
+        cclass = lp.h_b_qs1 + rng.uniform(0.0, 1.0) * (lp.h_b_m - lp.h_b_qs1)
+        try:
+            res = solve_mecbrc(RateClassProblem(0.5, q_y, q_s1, rate, cclass))
+        except InfeasibleError:
+            continue
+        rate_only = solve_mecbr(RateProblem(0.5, q_y, rate))
+        assert res.value == rate_only.value
+        assert res.mixture == rate_only.mixture
+        if _objective_value(0.5, q_y, res.alpha) == _objective_value(0.5, q_y, -res.alpha):
+            ties += 1
+            assert res.case_label.startswith("PartI-"), res.case_label
+    assert ties > 100
 
 
 def test_solution_satisfies_every_constraint_row():
@@ -270,16 +303,10 @@ def test_ill_conditioned_floor_of_one_needs_every_informative_weight():
     assert 1.0 - rate / hbx > 1e-4
     with pytest.raises(InfeasibleError, match="jointly unsatisfiable"):
         solve_mecbrc(RateClassProblem(q_x, q_y, q_s1, rate, cclass))
-    assert not any(
-        c.feasible
-        for c in candidate_solutions(RateClassProblem(q_x, q_y, q_s1, rate, cclass))
-    )
     p = RateClassProblem(q_x, q_y, q_s1, hbx + 1e-3, cclass)
     res = solve_mecbrc(p)
     assert res.mixture.p1 + res.mixture.p2 == pytest.approx(1.0, abs=1e-9)
     assert "Case2" in res.case_label
-    best = max(c.value for c in candidate_solutions(p) if c.feasible)
-    assert res.value == pytest.approx(best, abs=1e-12)
 
 
 def test_ill_conditioned_floor_far_above_the_rate_cap_is_infeasible():
@@ -290,4 +317,3 @@ def test_ill_conditioned_floor_far_above_the_rate_cap_is_infeasible():
     assert floor - cap > 0.4
     with pytest.raises(InfeasibleError, match="jointly unsatisfiable"):
         solve_mecbrc(p)
-    assert not any(c.feasible for c in candidate_solutions(p))

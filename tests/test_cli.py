@@ -96,6 +96,24 @@ class TestSolve:
         assert proc.returncode == 2
         assert "H_b(q_S1)" in proc.stderr
 
+    def test_joint_infeasibility_names_the_cap_that_binds(self):
+        # R / H_b(0.4) = 5.15 is loose; the marginals cap p1 + p2 at
+        # q_Y / q_X = 0.25, below the label floor 0.978.
+        proc = run_cli(
+            "solve", "--qx", "0.4", "--qy", "0.1", "--rate", "5",
+            "--qs1", "0.01", "--cclass", "0.1",
+        )
+        assert proc.returncode == 2
+        assert "jointly unsatisfiable" in proc.stderr
+        assert "the marginals allow at most min(q_Y / q_X, 1) = 0.25" in proc.stderr
+        assert "rate budget" not in proc.stderr
+        proc = run_cli(
+            "solve", "--qx", "0.3", "--qy", "0.4", "--rate", "0.3",
+            "--qs1", "0.01", "--cclass", "0.4",
+        )
+        assert proc.returncode == 2
+        assert "the rate budget allows at most R / H_b(q_X) = 0.3404" in proc.stderr
+
     def test_no_subcommand_exits_1(self):
         proc = run_cli()
         assert proc.returncode == 1
@@ -274,6 +292,42 @@ class TestOracle:
         data = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
         assert data[1] == "infeasible,infeasible,"
 
+    def test_label_row_below_the_floor_rate_is_infeasible_for_both(self):
+        # C at H_b(q_S1) with q_S1 near 1/2: the label floor on p1 + p2 is 1,
+        # so every rate below H_b(q_X) = 0.506721 is infeasible.  At
+        # R = 0.50664 the rate cap misses the floor by 1.6e-4 in weight but
+        # the label row by only 9e-11 bits, so the vertex oracle must measure
+        # that row in weight to agree.
+        qx, qy, qs1, cclass = (
+            0.1122686436741937, 0.19204908117449965, 0.49929232904766924,
+            0.9999985550014254,
+        )
+        for rate in ("0.50664", "0.50668", "0.50672"):
+            proc = run_cli(
+                "oracle", "--qx", repr(qx), "--qy", repr(qy), "--rate", rate,
+                "--qs1", repr(qs1), "--cclass", repr(cclass),
+            )
+            assert proc.returncode == 0, proc.stderr
+            data = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
+            assert data[1] == "infeasible,infeasible,"
+
+    def test_constant_label_row_verdicts_agree_at_the_gate(self):
+        # q_S1 = 1/2 makes the label row the constant H_b(1/2) = 1, so both
+        # solvers must apply the gate C >= 1 - 1e-12, not a slack of 1e-10.
+        for cclass, verdict in (("0.99999999995", "infeasible"), ("0.9999999999995", None)):
+            proc = run_cli(
+                "oracle", "--qx", "0.3", "--qy", "0.4", "--rate", "0.5",
+                "--qs1", "0.5", "--cclass", cclass,
+            )
+            assert proc.returncode == 0, proc.stderr
+            data = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
+            cells = data[1].split(",")
+            if verdict is None:
+                assert float(cells[2]) <= 1e-8
+            else:
+                assert cells[:2] == [verdict, verdict]
+
+
 class TestConfigAndOutput:
     def test_config_file_fills_missing_flags(self, tmp_path):
         cfg = tmp_path / "point.cfg"
@@ -372,6 +426,15 @@ class TestSimulate:
         )
         assert proc.returncode == 1
         assert "--mixture" in proc.stderr
+
+    def test_negative_seed_exits_1(self):
+        proc = run_cli(
+            "simulate", "--qx", "0.2", "--qy", "0.3", "--rate", "0.5",
+            "--samples", "100", "--seed", "-1",
+        )
+        assert proc.returncode == 1
+        assert "seed must be >= 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_csv_format_emits_scalar_row(self):
         proc = run_cli(
