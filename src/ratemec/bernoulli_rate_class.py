@@ -113,27 +113,37 @@ def label_params(p: RateClassProblem) -> DerivedLabelParams:
     return DerivedLabelParams(q_s=q_s, m=m, h_b_m=h_b_m, h_b_qs1=h_b_qs1)
 
 
-def feasibility(p: RateClassProblem) -> bool:
-    """True iff C >= H_b(q_S1) - 1e-12, the necessary label-budget floor.
-
-    Even bijective maps leave H_b(q_S1) of label uncertainty, so no
-    mixture can beat it.  This check is necessary, not sufficient: a
-    feasible C may still be unreachable when the rate budget cannot fund
-    the informative weight the label row demands (see
-    :func:`solve_mecbrc`).
-    """
-    return p.cclass >= binary_entropy(p.q_s1) - 1e-12
-
-
 def _label_floor(p: RateClassProblem, lp: DerivedLabelParams) -> float | None:
     """The floor (H_b(m) - C) / (H_b(m) - H_b(q_S1)) on p1 + p2.
 
     None when the gap is at most ``DEGENERATE_GAP``: the row then reads
     H_b(m) to within 1e-12 for every mixture, and the feasibility gate
-    has already held that to C.
+    holds that to C in bits.
     """
     gap = lp.h_b_m - lp.h_b_qs1
     return (lp.h_b_m - p.cclass) / gap if gap > DEGENERATE_GAP else None
+
+
+def _gate(p: RateClassProblem, lp: DerivedLabelParams, floor: float | None) -> bool:
+    if floor is None:
+        return p.cclass >= lp.h_b_qs1 - 1e-12
+    return floor <= 1.0 + FEAS_TOL
+
+
+def feasibility(p: RateClassProblem) -> bool:
+    """True iff C >= H_b(q_S1), the necessary label-budget floor.
+
+    Even bijective maps leave H_b(q_S1) of label uncertainty, so no
+    mixture can beat it.  The test is made in weight, like the label
+    row: the floor on p1 + p2 may exceed 1 by at most ``FEAS_TOL``.  A
+    constant row (gap at most ``DEGENERATE_GAP``) is tested in bits,
+    C >= H_b(q_S1) - 1e-12.  This check is necessary, not sufficient: a
+    feasible C may still be unreachable when the rate budget cannot fund
+    the informative weight the label row demands (see
+    :func:`solve_mecbrc`).
+    """
+    lp = label_params(p)
+    return _gate(p, lp, _label_floor(p, lp))
 
 
 def _slacks_for(
@@ -172,13 +182,13 @@ def solve_mecbrc(p: RateClassProblem) -> SolverResult:
     A row is tight when its slack from :func:`_slacks_for` is within
     ``ACTIVE_TOL``.  ``alpha`` is the winning step |p1 - p2|.
     """
-    if not feasibility(p):
-        raise InfeasibleError(
-            f"classification budget C={p.cclass!r} is below "
-            f"H_b(q_S1)={binary_entropy(p.q_s1)!r}; no coupling can satisfy it"
-        )
     lp = label_params(p)
     floor = _label_floor(p, lp)
+    if not _gate(p, lp, floor):
+        raise InfeasibleError(
+            f"classification budget C={p.cclass!r} is below "
+            f"H_b(q_S1)={lp.h_b_qs1!r}; no coupling can satisfy it"
+        )
     rate_cap = p.rate / binary_entropy(p.q_x)
     marginal_cap = min(p.q_y / p.q_x, 1.0)
     hi = min(rate_cap, marginal_cap)

@@ -65,6 +65,9 @@ ORACLE_TOL = 1e-8
 #: A rate sweep may never see the value drop by more than this.
 MONOTONE_TOL = 1e-12
 
+#: Largest sweep grid, so the grid and its rows stay within memory.
+MAX_STEPS = 1_000_000
+
 
 class _UsageExit(Exception):
     """Raised by the parser instead of argparse's SystemExit(2)."""
@@ -137,6 +140,10 @@ class SweepSpec:
             )
         if self.steps < 2:
             raise DomainError(f"sweep needs at least 2 steps, got {self.steps!r}")
+        if self.steps > MAX_STEPS:
+            raise DomainError(
+                f"sweep allows at most {MAX_STEPS} steps, got {self.steps!r}"
+            )
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)

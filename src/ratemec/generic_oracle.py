@@ -7,15 +7,18 @@ Two independent oracles cross-check the closed-form solvers:
   assembles the linear constraint polytope over the mixture weights
   (marginal match, simplex, rate row, optional label row, nonnegativity),
   and maximizes I(X;Y) by checking every basic feasible point.  The
-  objective is convex in the weights, so the maximum over the polytope
-  is attained at a vertex, and every vertex appears among the basic
-  solutions of full-rank active sets.
+  objective is convex in the weights, so the maximum is attained at a
+  vertex, the basic solution of some basis of the standard form: the k
+  marginal rows plus a slack column for each budget row that can cut
+  the simplex (the others are dropped).  Ties go to the smaller
+  support, then to the first basis.
 - :func:`coupling_oracle_theta` scans the single free cell of a 2x2
   coupling over its Frechet interval, verifying the unconstrained
   maximum-information coupling value without reference to map mixtures.
 
-Dimensions stay tiny (the map count k**n is capped), so exhaustive
-enumeration with explicit tolerances beats pulling in an LP library.
+Dimensions stay tiny (the map count k**n and the basis count are
+capped), so exhaustive enumeration with explicit tolerances beats
+pulling in an LP library.
 """
 
 from __future__ import annotations
@@ -49,12 +52,17 @@ EQ_TOL = 1e-10
 #: Inequality rows may be violated by at most this much at an accepted vertex.
 INEQ_TOL = 1e-10
 
-#: Singularity threshold for active-set linear systems.
+#: Singularity threshold for the basis submatrices.
 RANK_TOL = 1e-11
 
 #: The label row may be violated by at most this much in weight, the
-#: closed form's tolerance (see :func:`_label_row_in_weight`).
+#: closed form's tolerance (see :func:`_budget_rows`).
 LABEL_TOL = 1e-9
+
+#: Ceiling on the number of bases :func:`solve_vertex` may enumerate.
+MAX_BASES = 100_000
+
+_NO_POINT = "no basic feasible point satisfies every constraint row"
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,24 +243,6 @@ def build_polytope(
     )
 
 
-def _independent_eq_rows(a_eq: np.ndarray, b_eq: np.ndarray):
-    """Greedily keep a maximal independent subset of the equality rows.
-
-    The marginal rows always sum to the simplex row, so the stacked
-    system is rank-deficient by construction.
-    """
-    kept_a, kept_b = [], []
-    rank = 0
-    for row, b in zip(a_eq, b_eq):
-        trial = np.vstack(kept_a + [row]) if kept_a else row[None, :]
-        new_rank = np.linalg.matrix_rank(trial, tol=RANK_TOL)
-        if new_rank > rank:
-            kept_a.append(row)
-            kept_b.append(b)
-            rank = new_rank
-    return np.vstack(kept_a), np.asarray(kept_b), rank
-
-
 def _joint_from_weights(maps: MapTable, p_x: Pmf, w: np.ndarray) -> JointPmf:
     cond = np.zeros((maps.n, maps.k))
     for u, weight in enumerate(w):
@@ -261,69 +251,82 @@ def _joint_from_weights(maps: MapTable, p_x: Pmf, w: np.ndarray) -> JointPmf:
     return JointPmf(p_x.masses[:, None] * cond)
 
 
-def _label_row_in_weight(polytope: LinearPolytope):
-    """The inequality rows with the label row measured in weight.
+def _budget_rows(polytope: LinearPolytope):
+    """The budget rows that can cut the simplex: rows, bounds, slack tolerances.
 
     The label row's coefficients can differ by a tiny gap (H_b(m) and
-    H_b(q_S1) as q_S1 nears 1/2), so a slack in bits admits weights far
-    below what the row demands.  Shifting the row by its minimum
-    coefficient is exact through the simplex row; dividing it by its
-    range, when that exceeds 1e-12, turns its slack into weight, checked
-    at ``LABEL_TOL``.  A narrower row is constant (q_S1 = 1/2) and is
-    checked as the closed form's gate, C >= min - 1e-12.  Returns the
-    rows, bounds and per-row tolerances.
+    H_b(q_S1) as q_S1 nears 1/2), so it is measured in weight: shifted
+    by its minimum (exact through the simplex row) and divided by its
+    range, checked at ``LABEL_TOL``.  A range of at most 1e-12 makes it
+    constant (q_S1 = 1/2): dropped, or infeasible when C lies more than
+    1e-12 below it, the closed form's gate.  A row whose bound reaches
+    its largest coefficient never cuts the simplex and is dropped: its
+    large basic slack would swamp the rounding of the weights.
     """
-    a_ub, b_ub = polytope.a_ub.copy(), polytope.b_ub.copy()
-    tol = np.full(b_ub.shape, INEQ_TOL)
-    if "classification" in polytope.ub_names:
-        i = polytope.ub_names.index("classification")
-        low = a_ub[i].min()
-        a_ub[i] -= low
-        b_ub[i] -= low
-        span = a_ub[i].max()
-        if span > 1e-12:
-            a_ub[i] /= span
-            b_ub[i] /= span
-            tol[i] = LABEL_TOL
-        else:
-            tol[i] = 1e-12
-    return a_ub, b_ub, tol
+    rows, bounds, tols = [], [], []
+    for row, bound, name in zip(polytope.a_ub, polytope.b_ub, polytope.ub_names):
+        if name.startswith("nonneg["):
+            continue
+        tol = INEQ_TOL
+        if name == "classification":
+            low = row.min()
+            row, bound = row - low, bound - low
+            span = row.max()
+            if span <= 1e-12:
+                if bound < -1e-12:
+                    raise InfeasibleError(_NO_POINT)
+                continue
+            row, bound, tol = row / span, bound / span, LABEL_TOL
+        if bound < row.max():
+            rows.append(row)
+            bounds.append(bound)
+            tols.append(tol)
+    return rows, bounds, tols
 
 
 def solve_vertex(polytope: LinearPolytope, maps: MapTable, p_x: Pmf) -> SolverResult:
     """Maximize I(X;Y) over the polytope by basic-feasible-point enumeration.
 
-    Every active set pairing the independent equality rows with enough
-    inequality rows to reach full rank yields one candidate point; points
-    violating any constraint row beyond tolerance (the label row in
-    weight, see :func:`_label_row_in_weight`) are discarded, the rest
-    are scored by mutual information after a clamp-and-renormalize
-    projection.  Ties within 1e-12 prefer the smaller support, matching
-    the cardinality bound that an optimal mixture never needs more than
-    k + 1 maps.
+    Standard form: the k marginal rows (the simplex row is their sum and
+    is dropped) and each budget row :func:`_budget_rows` keeps, with a
+    slack column.  Each of the C(count + b, k + b) column subsets whose
+    submatrix has full rank at ``RANK_TOL`` is a basis; its basic solution
+    is kept when every component is at least minus its tolerance and it
+    meets all of ``a_eq`` within ``EQ_TOL``.  Kept points are scored by
+    mutual information after a clamp-and-renormalize projection.  Ties
+    within 1e-12 go to the smaller support (an optimal mixture never
+    needs more than k + 1 maps), then to the first basis in
+    lexicographic order.  More than ``MAX_BASES`` bases raise
+    :class:`DimensionCapError` before any is solved.
     """
-    count = polytope.a_eq.shape[1]
-    eq_a, eq_b, eq_rank = _independent_eq_rows(polytope.a_eq, polytope.b_eq)
-    need = count - eq_rank
-    if need < 0:
-        raise DomainError("equality system overdetermines the mixture weights")
+    k, count = polytope.a_eq.shape[0] - 1, polytope.a_eq.shape[1]
+    rows, bounds, tols = _budget_rows(polytope)
+    b = len(rows)
+    m = k + b
+    bases = math.comb(count + b, m)
+    if bases > MAX_BASES:
+        raise DimensionCapError(
+            f"{count} maps with {b} budget rows give {bases} bases, "
+            f"more than the bound of {MAX_BASES}"
+        )
+    a = np.block([
+        [polytope.a_eq[:k], np.zeros((k, b))],
+        [np.reshape(rows, (b, count)), np.eye(b)],
+    ])
+    rhs = np.concatenate([polytope.b_eq[:k], bounds])
+    tol = np.concatenate([np.full(count, INEQ_TOL), tols])
 
-    a_ub, b_ub, ub_tol = _label_row_in_weight(polytope)
     best_value = -1.0
     best_weights: np.ndarray | None = None
     best_support = count + 1
-    for combo in combinations(range(a_ub.shape[0]), need):
-        a = np.vstack([eq_a, a_ub[list(combo)]]) if need else eq_a
-        b = np.concatenate([eq_b, b_ub[list(combo)]]) if need else eq_b
-        if np.linalg.matrix_rank(a, tol=RANK_TOL) < count:
+    for basis in combinations(range(count + b), m):
+        sub = a[:, basis]
+        if np.linalg.matrix_rank(sub, tol=RANK_TOL) < m:
             continue
-        try:
-            w = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            continue
-        if np.max(np.abs(polytope.a_eq @ w - polytope.b_eq)) > EQ_TOL:
-            continue
-        if np.any(b_ub - a_ub @ w < -ub_tol):
+        x = np.zeros(count + b)
+        x[list(basis)] = np.linalg.solve(sub, rhs)
+        w = x[:count]
+        if np.any(x < -tol) or np.max(np.abs(polytope.a_eq @ w - polytope.b_eq)) > EQ_TOL:
             continue
         clipped = np.clip(w, 0.0, None)
         clipped /= clipped.sum()
@@ -337,16 +340,11 @@ def solve_vertex(polytope: LinearPolytope, maps: MapTable, p_x: Pmf) -> SolverRe
             best_support = support
 
     if best_weights is None:
-        raise InfeasibleError("no basic feasible point satisfies every constraint row")
+        raise InfeasibleError(_NO_POINT)
 
-    mixture = None
-    if maps.n == 2 and maps.k == 2:
-        mixture = MapMixture(*best_weights)
+    mixture = MapMixture(*best_weights) if maps.n == 2 and maps.k == 2 else None
     return SolverResult(
-        value=best_value,
-        mixture=mixture,
-        case_label="Vertex",
-        alpha=None,
+        value=best_value, mixture=mixture, case_label="Vertex", alpha=None,
         weights=best_weights,
     )
 

@@ -210,6 +210,15 @@ class TestSweep:
         assert values
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    def test_step_count_over_the_bound_exits_1(self):
+        # Checked before the grid is allocated: 10**12 points would need 8 TB.
+        proc = run_cli(
+            "sweep", "--var", "rate", "--from", "0", "--to", "1",
+            "--steps", "1000000000000", "--qx", "0.2", "--qy", "0.3",
+        )
+        assert proc.returncode == 1
+        assert "1000000" in proc.stderr
+
     def test_monotonicity_violation_exits_3(self, monkeypatch, capsys):
         def fake_solver(problem):
             return SolverResult(
@@ -310,6 +319,21 @@ class TestOracle:
             assert proc.returncode == 0, proc.stderr
             data = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
             assert data[1] == "infeasible,infeasible,"
+
+    def test_label_budget_just_below_the_entropy_floor_is_feasible_for_both(self):
+        # C lies 1.5e-11 bits below H_b(q_S1), but the label floor on
+        # p1 + p2 exceeds 1 by less than 1e-9 in weight, which the label
+        # row itself accepts; the gate must judge it in weight too.
+        proc = run_cli(
+            "oracle", "--qx", "0.49054714276323197", "--qy", "0.49577402320489655",
+            "--qs1", "0.309974269998896", "--rate", "1.0208118089550362",
+            "--cclass", "0.8931437552661599",
+        )
+        assert proc.returncode == 0, proc.stderr
+        data = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
+        closed, vertex, diff = data[1].split(",")
+        assert float(closed) == pytest.approx(float(vertex), abs=1e-8)
+        assert float(diff) <= 1e-8
 
     def test_constant_label_row_verdicts_agree_at_the_gate(self):
         # q_S1 = 1/2 makes the label row the constant H_b(1/2) = 1, so both

@@ -1,5 +1,7 @@
 """Tests for the brute-force map-mixture oracle and the theta grid scan."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ratemec import (
     FrechetInterval,
     InfeasibleError,
     Pmf,
+    RateClassProblem,
     RateProblem,
     binary_entropy,
     build_polytope,
@@ -18,8 +21,10 @@ from ratemec import (
     enumerate_maps,
     frechet_interval,
     solve_mecbr,
+    solve_mecbrc,
     solve_vertex,
 )
+from ratemec.generic_oracle import MAX_BASES
 
 # H_b(0.3) = 0.8812908992306926 bits (frozen from a 50-digit evaluation).
 HB_03 = 0.8812908992306926
@@ -228,6 +233,57 @@ class TestSolveVertex:
         poly = build_polytope(table, _binary_pmf(0.3))
         res = solve_vertex(poly, table, _binary_pmf(0.2))
         assert res.value == pytest.approx(PLATEAU_02_03, abs=1e-10)
+
+    def test_basis_count_over_the_bound_raises_before_any_solve(self):
+        # 256 maps and one rate row give C(257, 5) = 8,984,341,696 bases.
+        p_x = Pmf(np.full(4, 0.25))
+        table = enumerate_maps(4, 4, p_x)
+        poly = build_polytope(table, Pmf(np.full(4, 0.25)), rate=1.0)
+        start = time.perf_counter()
+        with pytest.raises(DimensionCapError, match="8984341696") as err:
+            solve_vertex(poly, table, p_x)
+        assert time.perf_counter() - start < 1.0
+        assert str(MAX_BASES) in str(err.value)
+
+    def test_huge_rate_budget_returns_the_plateau(self):
+        # A rate row that never binds is dropped; kept, its basic slack of
+        # 1e8 would swamp the rounding of the weights.
+        q_x, q_y = 0.37, 0.11
+        table = enumerate_maps(2, 2, _binary_pmf(q_x))
+        free = solve_vertex(build_polytope(table, _binary_pmf(q_y)), table, _binary_pmf(q_x))
+        poly = build_polytope(table, _binary_pmf(q_y), rate=1e8)
+        res = solve_vertex(poly, table, _binary_pmf(q_x))
+        assert res.value == pytest.approx(free.value, abs=1e-12)
+        assert res.value == pytest.approx(
+            solve_mecbr(RateProblem(q_x, q_y, 1e8)).value, abs=1e-12
+        )
+
+    def test_slack_ill_conditioned_label_row_gives_the_rate_only_value(self):
+        # C exceeds H_b(m), so the label row (gap H_b(m) - H_b(q_S1) of
+        # 1.6e-12 bits) never binds; kept, its slack would reach 3e10 in
+        # weight and the oracle would return the flip vertex, 0.0344 bits.
+        q_x, q_y, q_s1 = 0.47215379695393944, 0.036352218518679834, 0.49999925745212837
+        rate, cclass = 0.07891824431897239, 1.0480737881659754
+        table = enumerate_maps(2, 2, _binary_pmf(q_x), q_s1=q_s1)
+        poly = build_polytope(table, _binary_pmf(q_y), rate=rate, cclass=cclass)
+        res = solve_vertex(poly, table, _binary_pmf(q_x))
+        expected = solve_mecbr(RateProblem(q_x, q_y, rate)).value
+        assert res.value == pytest.approx(expected, abs=1e-9)
+        assert res.value == pytest.approx(
+            solve_mecbrc(RateClassProblem(q_x, q_y, q_s1, rate, cclass)).value, abs=1e-9
+        )
+
+    def test_exact_tie_at_half_source_goes_to_the_aligned_side(self):
+        # At q_X = 1/2 the identity and flip maps are mirror images, so the
+        # closed form's tie rule (p1 >= p2) must hold at the oracle too.
+        rng = np.random.default_rng(4)
+        p_x = _binary_pmf(0.5)
+        table = enumerate_maps(2, 2, p_x)
+        for _ in range(500):
+            q_y = rng.uniform(0.02, 0.98)
+            rate = rng.uniform(0.0, 1.0)
+            res = solve_vertex(build_polytope(table, _binary_pmf(q_y), rate=rate), table, p_x)
+            assert res.weights[0] >= res.weights[1], (q_y, rate, res.weights)
 
 
 class TestFrechetInterval:
