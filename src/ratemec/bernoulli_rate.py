@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .prob_core import PROB_TOL, BitsValue, JointPmf, binary_entropy
+from .prob_core import ROUND_TOL, BitsValue, JointPmf, binary_entropy
 
 #: The four deterministic binary maps, one row per map, columns indexed by
 #: the input x: identity, flip, constant 0, constant 1.
@@ -97,9 +97,9 @@ class RateProblem:
 class MapMixture:
     """Distribution over the four deterministic binary maps.
 
-    Components within ``PROB_TOL`` below zero are clamped to 0 and the
-    mixture renormalized (case-boundary arithmetic produces -1e-17 style
-    values); anything worse is rejected.
+    Components within ``ROUND_TOL`` below zero are clamped to 0 and the
+    mixture renormalized (case-boundary arithmetic leaves values a few
+    ulps below zero); anything worse is rejected.
     """
 
     p1: float
@@ -113,15 +113,15 @@ class MapMixture:
             v = float(v)
             if not math.isfinite(v):
                 raise DomainError(f"mixture component p{i + 1} is not finite: {v!r}")
-            if v < -PROB_TOL:
+            if v < -ROUND_TOL:
                 raise DomainError(
-                    f"mixture component p{i + 1}={v!r} negative beyond tolerance {PROB_TOL}"
+                    f"mixture component p{i + 1}={v!r} negative beyond tolerance {ROUND_TOL}"
                 )
             raw.append(v)
         raw_total = sum(raw)
-        if abs(raw_total - 1.0) > PROB_TOL:
+        if abs(raw_total - 1.0) > ROUND_TOL:
             raise DomainError(
-                f"mixture components sum to {raw_total!r}, off from 1 beyond {PROB_TOL}"
+                f"mixture components sum to {raw_total!r}, off from 1 beyond {ROUND_TOL}"
             )
         cleaned = [max(v, 0.0) for v in raw]
         total = sum(cleaned)

@@ -40,18 +40,7 @@ from dataclasses import dataclass
 
 from .bernoulli_rate import MapMixture, SolverResult, _step_interval
 from .errors import DomainError, InfeasibleError
-from .prob_core import BitsValue, binary_entropy
-
-#: How far, in weight, the label floor may exceed the largest feasible
-#: informative weight before the instance counts as infeasible.
-FEAS_TOL = 1e-9
-
-#: Below this gap H_b(m) - H_b(q_S1) the label row is treated as constant
-#: (it happens only at q_S1 = 1/2, where the row reads 1 <= C).
-DEGENERATE_GAP = 1e-12
-
-#: Tolerance for calling a constraint "active" when labeling a solution.
-ACTIVE_TOL = 1e-9
+from .prob_core import ROUND_TOL, WEIGHT_TOL, BitsValue, binary_entropy
 
 
 def _check_interval(value: float, name: str, upper: float = 0.5) -> None:
@@ -97,7 +86,7 @@ class DerivedLabelParams:
 def label_params(p: RateClassProblem) -> DerivedLabelParams:
     """Derive the label marginal and the constant-map entropy terms.
 
-    Guarantees H_b(m) >= H_b(q_S1) - 1e-12: writing
+    Guarantees H_b(m) >= H_b(q_S1) - ``ROUND_TOL``: writing
     m - 1/2 = (q_X - 1/2)(2 q_S1 - 1) shows |m - 1/2| <= |q_S1 - 1/2|,
     and H_b decreases in the distance from 1/2.  Equality needs
     q_S1 = 1/2 (q_X in {0, 1} is outside the domain).
@@ -106,7 +95,7 @@ def label_params(p: RateClassProblem) -> DerivedLabelParams:
     m = (1.0 - p.q_x) * (1.0 - p.q_s1) + p.q_x * p.q_s1
     h_b_m = binary_entropy(m)
     h_b_qs1 = binary_entropy(p.q_s1)
-    if h_b_m < h_b_qs1 - 1e-12:
+    if h_b_m < h_b_qs1 - ROUND_TOL:
         raise DomainError(
             f"entropy ordering violated: H_b(m)={h_b_m!r} < H_b(q_S1)={h_b_qs1!r}"
         )
@@ -116,18 +105,18 @@ def label_params(p: RateClassProblem) -> DerivedLabelParams:
 def _label_floor(p: RateClassProblem, lp: DerivedLabelParams) -> float | None:
     """The floor (H_b(m) - C) / (H_b(m) - H_b(q_S1)) on p1 + p2.
 
-    None when the gap is at most ``DEGENERATE_GAP``: the row then reads
-    H_b(m) to within 1e-12 for every mixture, and the feasibility gate
-    holds that to C in bits.
+    None when the gap is at most ``ROUND_TOL``: the row then reads H_b(m)
+    to within ``ROUND_TOL`` for every mixture (q_S1 = 1/2), and the
+    feasibility gate holds that to C in bits.
     """
     gap = lp.h_b_m - lp.h_b_qs1
-    return (lp.h_b_m - p.cclass) / gap if gap > DEGENERATE_GAP else None
+    return (lp.h_b_m - p.cclass) / gap if gap > ROUND_TOL else None
 
 
 def _gate(p: RateClassProblem, lp: DerivedLabelParams, floor: float | None) -> bool:
     if floor is None:
-        return p.cclass >= lp.h_b_qs1 - 1e-12
-    return floor <= 1.0 + FEAS_TOL
+        return p.cclass >= lp.h_b_qs1 - ROUND_TOL
+    return floor <= 1.0 + WEIGHT_TOL
 
 
 def feasibility(p: RateClassProblem) -> bool:
@@ -135,11 +124,11 @@ def feasibility(p: RateClassProblem) -> bool:
 
     Even bijective maps leave H_b(q_S1) of label uncertainty, so no
     mixture can beat it.  The test is made in weight, like the label
-    row: the floor on p1 + p2 may exceed 1 by at most ``FEAS_TOL``.  A
-    constant row (gap at most ``DEGENERATE_GAP``) is tested in bits,
-    C >= H_b(q_S1) - 1e-12.  This check is necessary, not sufficient: a
-    feasible C may still be unreachable when the rate budget cannot fund
-    the informative weight the label row demands (see
+    row: the floor on p1 + p2 may exceed 1 by at most ``WEIGHT_TOL``.  A
+    constant row (gap at most ``ROUND_TOL``) is tested in bits,
+    C >= H_b(q_S1) - ``ROUND_TOL``.  This check is necessary, not
+    sufficient: a feasible C may still be unreachable when the rate
+    budget cannot fund the informative weight the label row demands (see
     :func:`solve_mecbrc`).
     """
     lp = label_params(p)
@@ -173,14 +162,14 @@ def solve_mecbrc(p: RateClassProblem) -> SolverResult:
     Raises :class:`InfeasibleError` in two situations: the label budget
     is below the floor H_b(q_S1) that even bijective maps cannot beat, or
     the budgets are individually sensible but jointly unsatisfiable (the
-    label floor exceeds hi by more than ``FEAS_TOL`` in weight; the
+    label floor exceeds hi by more than ``WEIGHT_TOL``; the
     message names whichever cap sets hi).
 
     The case label reports the sign of the winning step (PartI for
     p1 >= p2, PartII otherwise) and which budget rows are tight at the
     winner: Case1 rate only, Case2 label only, Case3 both, Case4 neither.
     A row is tight when its slack from :func:`_slacks_for` is within
-    ``ACTIVE_TOL``.  ``alpha`` is the winning step |p1 - p2|.
+    ``WEIGHT_TOL``.  ``alpha`` is the winning step |p1 - p2|.
     """
     lp = label_params(p)
     floor = _label_floor(p, lp)
@@ -193,7 +182,7 @@ def solve_mecbrc(p: RateClassProblem) -> SolverResult:
     marginal_cap = min(p.q_y / p.q_x, 1.0)
     hi = min(rate_cap, marginal_cap)
     lo = 0.0 if floor is None else max(floor, 0.0)
-    if lo > hi + FEAS_TOL:
+    if lo > hi + WEIGHT_TOL:
         cap = (
             f"the rate budget allows at most R / H_b(q_X) = {rate_cap!r}"
             if rate_cap <= marginal_cap
@@ -207,8 +196,8 @@ def solve_mecbrc(p: RateClassProblem) -> SolverResult:
     value, weights, step = _step_interval(p.q_x, p.q_y, min(lo, hi), hi)
     mixture = MapMixture(*weights)
     rate_slack, label_slack = _slacks_for(mixture, p, lp, floor)
-    rate_active = abs(rate_slack) <= ACTIVE_TOL
-    label_active = abs(label_slack) <= ACTIVE_TOL
+    rate_active = abs(rate_slack) <= WEIGHT_TOL
+    label_active = abs(label_slack) <= WEIGHT_TOL
     part = "PartI" if step >= 0.0 else "PartII"
     if rate_active and label_active:
         case = "Case3"

@@ -10,12 +10,12 @@ Exit codes: 0 success, 1 usage or domain error, 2 infeasible problem,
 4 oracle mismatch.
 
 A ``--config`` file supplies ``key=value`` defaults (one per line,
-``#`` comments allowed); explicit flags always win.  Relative
-``--output`` paths resolve under ``$RATEMEC_OUTPUT_DIR`` when that
-variable is set.  The environment variable ``RATEMEC_ORACLE_PERTURB``
-adds a float offset to the closed-form value inside ``oracle`` before
-comparison; it exists so tests can exercise the mismatch exit path
-without breaking a solver.
+``#`` comments allowed), converted and checked like the flags they
+name; explicit flags always win.  Relative ``--output`` paths resolve
+under ``$RATEMEC_OUTPUT_DIR`` when that variable is set.  The
+environment variable ``RATEMEC_ORACLE_PERTURB`` adds a float offset to
+the closed-form value inside ``oracle`` before comparison; it exists so
+tests can exercise the mismatch exit path without breaking a solver.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .generic_oracle import (
     solve_vertex,
 )
 from .mc_sim import SimConfig, simulate, verify_constraints
-from .prob_core import Pmf
+from .prob_core import ORACLE_TOL, ROUND_TOL, Pmf
 
 #: Fixed curve-point schema; columns are never dropped, only left empty.
 SCHEMA = "qx,qy,qs1,rate,cclass,value_bits,p1,p2,p3,p4,case_label,alpha"
@@ -58,12 +58,6 @@ SIM_SCHEMA = (
 )
 
 ORACLE_SCHEMA = "closed_form_bits,vertex_bits,abs_diff"
-
-#: Two cross-checked solvers must agree this tightly or ``oracle`` exits 4.
-ORACLE_TOL = 1e-8
-
-#: A rate sweep may never see the value drop by more than this.
-MONOTONE_TOL = 1e-12
 
 #: Largest sweep grid, so the grid and its rows stay within memory.
 MAX_STEPS = 1_000_000
@@ -149,28 +143,27 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.steps)
 
 
-_CONFIG_TYPES = {
-    "qx": float, "qy": float, "qs1": float, "rate": float, "cclass": float,
-    "start": float, "stop": float, "steps": int, "samples": int, "seed": int,
-    "streams": int, "grid": int, "var": str, "format": str, "output": str,
-    "mixture": str,
-}
-
-_CONFIG_ALIASES = {"from": "start", "to": "stop"}
-
 _FLAG_NAMES = {"start": "from", "stop": "to"}
 
+_CONFIG_ALIASES = {flag: dest for dest, flag in _FLAG_NAMES.items()}
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the --config file; explicit flags win."""
-    path = getattr(args, "config", None)
-    if path is None:
-        return
+
+def _config_flags(parser: _Parser, args: argparse.Namespace) -> list[str]:
+    """The --config file's lines as ``--flag=value`` tokens.
+
+    The parser converts the tokens, so a config value passes the same
+    type and choices checks as its flag; placed ahead of the command
+    line, they lose to any flag given there.
+    """
+    path = args.config
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise DomainError(f"cannot read config file {path!r}: {exc}") from exc
+    known = {key for name in _HANDLERS for key in vars(parser.parse_args([name]))}
+    known -= {"command", "config"}
+    tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -179,20 +172,14 @@ def _merge_config(args: argparse.Namespace) -> None:
         if not sep:
             raise DomainError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key = _CONFIG_ALIASES.get(key.strip(), key.strip())
-        value = value.strip()
-        if key not in _CONFIG_TYPES:
+        if key not in known:
             raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
         if not hasattr(args, key):
             raise DomainError(
                 f"{path}:{lineno}: key {key!r} does not apply to this subcommand"
             )
-        if getattr(args, key) is None:
-            try:
-                setattr(args, key, _CONFIG_TYPES[key](value))
-            except ValueError as exc:
-                raise DomainError(
-                    f"{path}:{lineno}: cannot parse {value!r} for {key!r}"
-                ) from exc
+        tokens.append(f"--{_FLAG_NAMES.get(key, key)}={value.strip()}")
+    return tokens
 
 
 def _require(args: argparse.Namespace, names: list[str]) -> None:
@@ -302,7 +289,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             points.append(_infeasible_point(args.qx, args.qy, args.qs1, rate, cclass))
             continue
         if spec.var == "rate" and prev_value is not None:
-            if point.value_bits < prev_value - MONOTONE_TOL:
+            if point.value_bits < prev_value - ROUND_TOL:
                 raise MonotonicityError(
                     f"value decreased from {prev_value!r} to {point.value_bits!r} "
                     f"at rate={rate!r}; the curve must be nondecreasing in the rate budget"
@@ -514,12 +501,15 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = list(argv) if argv is not None else sys.argv[1:]
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.error("a subcommand is required")
-        args.argv_echo = list(argv) if argv is not None else sys.argv[1:]
-        _merge_config(args)
+        if args.config is not None:
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(parser, args) + argv[at:])
+        args.argv_echo = argv
         return _HANDLERS[args.command](args)
     except _UsageExit:
         return 1

@@ -32,6 +32,10 @@ import numpy as np
 from .bernoulli_rate import BINARY_MAPS, MapMixture, SolverResult
 from .errors import DimensionCapError, DomainError, InfeasibleError
 from .prob_core import (
+    RANK_TOL,
+    ROUND_TOL,
+    ROW_TOL,
+    WEIGHT_TOL,
     BitsValue,
     JointPmf,
     Pmf,
@@ -42,22 +46,6 @@ from .prob_core import (
 
 #: Default ceiling on the number of enumerated maps (k ** n).
 DEFAULT_MAP_CAP = 4096
-
-#: Weights below this threshold do not count toward a vertex's support size.
-FEAS_SUPPORT_TOL = 1e-9
-
-#: Equality rows must be met this tightly at an accepted vertex.
-EQ_TOL = 1e-10
-
-#: Inequality rows may be violated by at most this much at an accepted vertex.
-INEQ_TOL = 1e-10
-
-#: Singularity threshold for the basis submatrices.
-RANK_TOL = 1e-11
-
-#: The label row may be violated by at most this much in weight, the
-#: closed form's tolerance (see :func:`_budget_rows`).
-LABEL_TOL = 1e-9
 
 #: Ceiling on the number of bases :func:`solve_vertex` may enumerate.
 MAX_BASES = 100_000
@@ -105,7 +93,7 @@ class FrechetInterval:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             raise DomainError("Frechet interval endpoints must be finite")
-        if self.lower > self.upper + 1e-15:
+        if self.lower > self.upper + ROUND_TOL:
             raise DomainError(
                 f"empty Frechet interval [{self.lower!r}, {self.upper!r}]"
             )
@@ -116,18 +104,6 @@ def frechet_interval(q_x: float, q_y: float) -> FrechetInterval:
         if not math.isfinite(q) or q <= 0.0 or q >= 1.0:
             raise DomainError(f"{name}={q!r} outside (0, 1)")
     return FrechetInterval(max(0.0, q_x + q_y - 1.0), min(q_x, q_y))
-
-
-def _label_term(fiber_masses: np.ndarray, q_s1: float) -> float:
-    """H(S | X in fiber) weighted is assembled by the caller; this returns
-    the conditional entropy of S = X xor S1 given that X lies in the fiber
-    described by ``fiber_masses`` (index = x, value = P(X = x), x in {0, 1})."""
-    mass = float(fiber_masses.sum())
-    if mass <= 0.0:
-        return 0.0
-    # P(S = 1 | fiber): x = 0 contributes q_s1, x = 1 contributes 1 - q_s1.
-    s1 = (fiber_masses[0] * q_s1 + fiber_masses[1] * (1.0 - q_s1)) / mass
-    return binary_entropy(s1)
 
 
 def enumerate_maps(
@@ -169,21 +145,23 @@ def enumerate_maps(
 
     out_pmfs = np.zeros((count, k))
     entropies = np.zeros(count)
-    cls_terms = np.zeros(count) if q_s1 is not None else None
     for u in range(count):
         for x in range(n):
             out_pmfs[u, maps[u, x]] += p_x.masses[x]
         entropies[u] = entropy(Pmf(out_pmfs[u]))
-        if cls_terms is not None:
-            term = 0.0
-            for y in range(k):
-                fiber = np.where(maps[u] == y, p_x.masses, 0.0)
-                term += float(fiber.sum()) * _label_term(fiber, q_s1)
-            cls_terms[u] = term
+    cls_terms = None
+    if q_s1 is not None:
+        # On a binary source every map is injective, leaving H(S | X) =
+        # H_b(q_S1), or constant, leaving H(S) = H_b(m); both computed as
+        # label_params computes them, so the two solvers share the gap.
+        q_x = float(p_x.masses[1])
+        m = (1.0 - q_x) * (1.0 - q_s1) + q_x * q_s1
+        cls_terms = np.where(
+            maps[:, 0] != maps[:, 1], binary_entropy(q_s1), binary_entropy(m)
+        )
+        cls_terms.flags.writeable = False
     for arr in (maps, out_pmfs, entropies):
         arr.flags.writeable = False
-    if cls_terms is not None:
-        cls_terms.flags.writeable = False
     return MapTable(
         n=n, k=k, p_x=p_x, maps=maps, out_pmfs=out_pmfs,
         entropies=entropies, cls_terms=cls_terms,
@@ -257,26 +235,27 @@ def _budget_rows(polytope: LinearPolytope):
     The label row's coefficients can differ by a tiny gap (H_b(m) and
     H_b(q_S1) as q_S1 nears 1/2), so it is measured in weight: shifted
     by its minimum (exact through the simplex row) and divided by its
-    range, checked at ``LABEL_TOL``.  A range of at most 1e-12 makes it
-    constant (q_S1 = 1/2): dropped, or infeasible when C lies more than
-    1e-12 below it, the closed form's gate.  A row whose bound reaches
-    its largest coefficient never cuts the simplex and is dropped: its
-    large basic slack would swamp the rounding of the weights.
+    range, checked at ``WEIGHT_TOL``.  A range of at most ``ROUND_TOL``
+    makes it constant (q_S1 = 1/2): dropped, or infeasible when C lies
+    more than ``ROUND_TOL`` below it, the closed form's gate.  A row
+    whose bound reaches its largest coefficient never cuts the simplex
+    and is dropped: its large basic slack would swamp the rounding of
+    the weights.
     """
     rows, bounds, tols = [], [], []
     for row, bound, name in zip(polytope.a_ub, polytope.b_ub, polytope.ub_names):
         if name.startswith("nonneg["):
             continue
-        tol = INEQ_TOL
+        tol = ROW_TOL
         if name == "classification":
             low = row.min()
             row, bound = row - low, bound - low
             span = row.max()
-            if span <= 1e-12:
-                if bound < -1e-12:
+            if span <= ROUND_TOL:
+                if bound < -ROUND_TOL:
                     raise InfeasibleError(_NO_POINT)
                 continue
-            row, bound, tol = row / span, bound / span, LABEL_TOL
+            row, bound, tol = row / span, bound / span, WEIGHT_TOL
         if bound < row.max():
             rows.append(row)
             bounds.append(bound)
@@ -291,13 +270,15 @@ def solve_vertex(polytope: LinearPolytope, maps: MapTable, p_x: Pmf) -> SolverRe
     is dropped) and each budget row :func:`_budget_rows` keeps, with a
     slack column.  Each of the C(count + b, k + b) column subsets whose
     submatrix has full rank at ``RANK_TOL`` is a basis; its basic solution
-    is kept when every component is at least minus its tolerance and it
-    meets all of ``a_eq`` within ``EQ_TOL``.  Kept points are scored by
-    mutual information after a clamp-and-renormalize projection.  Ties
-    within 1e-12 go to the smaller support (an optimal mixture never
-    needs more than k + 1 maps), then to the first basis in
-    lexicographic order.  More than ``MAX_BASES`` bases raise
-    :class:`DimensionCapError` before any is solved.
+    is kept when every component is at least minus its tolerance
+    (``ROW_TOL``, the label slack ``WEIGHT_TOL``) and it meets all of
+    ``a_eq`` within ``ROW_TOL``.  Kept points are scored by mutual
+    information after a clamp-and-renormalize projection.  Ties within
+    ``ROUND_TOL`` go to the smaller support (weights above
+    ``WEIGHT_TOL``; an optimal mixture never needs more than k + 1
+    maps), then to the first basis in lexicographic order.  More than
+    ``MAX_BASES`` bases raise :class:`DimensionCapError` before any is
+    solved.
     """
     k, count = polytope.a_eq.shape[0] - 1, polytope.a_eq.shape[1]
     rows, bounds, tols = _budget_rows(polytope)
@@ -314,7 +295,7 @@ def solve_vertex(polytope: LinearPolytope, maps: MapTable, p_x: Pmf) -> SolverRe
         [np.reshape(rows, (b, count)), np.eye(b)],
     ])
     rhs = np.concatenate([polytope.b_eq[:k], bounds])
-    tol = np.concatenate([np.full(count, INEQ_TOL), tols])
+    tol = np.concatenate([np.full(count, ROW_TOL), tols])
 
     best_value = -1.0
     best_weights: np.ndarray | None = None
@@ -326,14 +307,14 @@ def solve_vertex(polytope: LinearPolytope, maps: MapTable, p_x: Pmf) -> SolverRe
         x = np.zeros(count + b)
         x[list(basis)] = np.linalg.solve(sub, rhs)
         w = x[:count]
-        if np.any(x < -tol) or np.max(np.abs(polytope.a_eq @ w - polytope.b_eq)) > EQ_TOL:
+        if np.any(x < -tol) or np.max(np.abs(polytope.a_eq @ w - polytope.b_eq)) > ROW_TOL:
             continue
         clipped = np.clip(w, 0.0, None)
         clipped /= clipped.sum()
         value = mutual_information(_joint_from_weights(maps, p_x, clipped))
-        support = int(np.count_nonzero(clipped > FEAS_SUPPORT_TOL))
-        if value > best_value + 1e-12 or (
-            abs(value - best_value) <= 1e-12 and support < best_support
+        support = int(np.count_nonzero(clipped > WEIGHT_TOL))
+        if value > best_value + ROUND_TOL or (
+            abs(value - best_value) <= ROUND_TOL and support < best_support
         ):
             best_value = value
             best_weights = clipped

@@ -10,9 +10,37 @@ Conventions
 - Logarithms are base 2 throughout; all entropies and rates are bits.
 - ``0 * log 0 = 0`` is handled by an explicit branch, never by limits,
   so deterministic distributions produce exactly ``0.0``.
-- Probability inputs may be off by at most ``PROB_TOL = 1e-12``: inputs
+- Probability inputs may be off by at most ``ROUND_TOL``: inputs
   within the tolerance are clamped/renormalized, anything worse raises
   :class:`~ratemec.errors.DomainError`.
+
+Tolerances
+----------
+Every tolerance of the package is defined here, one name per role:
+
+- ``ROUND_TOL`` = 1e-12, in probability or bits: rounding on a quantity
+  that is exact in real arithmetic.  Probability inputs and mixture
+  weights are clamped within it; the label row counts as constant when
+  its gap H_b(m) - H_b(q_S1) is at most it, and that constant row is
+  then held to C in bits within it; H_b(m) >= H_b(q_S1) is checked to
+  it; vertex values within it tie; a Frechet interval is empty beyond
+  it; and a rate sweep may not fall by more than it.
+- ``ROW_TOL`` = 1e-10: how far a basic solution of the vertex oracle
+  may miss an equality row, or fall below zero on a weight or on the
+  rate row's slack (in bits).
+- ``RANK_TOL`` = 1e-11: the rank threshold for the vertex oracle's
+  basis submatrices.
+- ``WEIGHT_TOL`` = 1e-9, in mixture weight: the label row's slack in
+  both solvers, that is how far the floor on p1 + p2 may exceed 1 (the
+  gate) or the cap on p1 + p2 (joint feasibility); how close a budget
+  row's slack (the rate row's in bits) must come to 0 for the case
+  label to call the row tight; and the weight below which a vertex
+  component does not count toward its support.
+- ``ORACLE_TOL`` = 1e-8, in bits: how closely the closed form and the
+  vertex oracle must agree, or ``ratemec oracle`` exits 4.
+
+Work bounds (``MAX_BASES``, ``MAX_STEPS``, ``DEFAULT_MAP_CAP``) and the
+log floor of the grid scan are not tolerances and live with their code.
 
 All operations are pure functions on immutable values and are safe to
 call concurrently.
@@ -32,8 +60,12 @@ from .errors import DomainError
 # signatures.
 BitsValue = float
 
-#: Validity tolerance for probability inputs (clamp inside, reject outside).
-PROB_TOL = 1e-12
+#: The tolerance table; the module docstring says where each is judged.
+ROUND_TOL = 1e-12
+ROW_TOL = 1e-10
+RANK_TOL = 1e-11
+WEIGHT_TOL = 1e-9
+ORACLE_TOL = 1e-8
 
 _LN2 = math.log(2.0)
 
@@ -44,15 +76,15 @@ def _as_prob_array(values, name: str) -> np.ndarray:
         raise DomainError(f"{name} must be non-empty")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} contains non-finite entries")
-    if np.any(arr < -PROB_TOL):
+    if np.any(arr < -ROUND_TOL):
         raise DomainError(
-            f"{name} has a negative entry {arr.min()!r} beyond tolerance {PROB_TOL}"
+            f"{name} has a negative entry {arr.min()!r} beyond tolerance {ROUND_TOL}"
         )
     arr = np.clip(arr, 0.0, None)
     total = float(arr.sum())
-    if abs(total - 1.0) > PROB_TOL:
+    if abs(total - 1.0) > ROUND_TOL:
         raise DomainError(
-            f"{name} sums to {total!r}, off from 1 by more than {PROB_TOL}"
+            f"{name} sums to {total!r}, off from 1 by more than {ROUND_TOL}"
         )
     if total != 1.0:
         arr = arr / total
@@ -64,8 +96,8 @@ def _as_prob_array(values, name: str) -> np.ndarray:
 class Pmf:
     """Probability mass function over a finite alphabet.
 
-    Masses are validated on construction: non-negative within ``PROB_TOL``
-    and summing to 1 within ``PROB_TOL`` (then renormalized exactly).
+    Masses are validated on construction: non-negative within ``ROUND_TOL``
+    and summing to 1 within ``ROUND_TOL`` (then renormalized exactly).
     The stored array is read-only.
     """
 
@@ -97,14 +129,6 @@ class JointPmf:
         arr.flags.writeable = False
         object.__setattr__(self, "table", arr)
 
-    @property
-    def nx(self) -> int:
-        return int(self.table.shape[0])
-
-    @property
-    def ny(self) -> int:
-        return int(self.table.shape[1])
-
     def marginal_x(self) -> Pmf:
         return Pmf(self.table.sum(axis=1))
 
@@ -115,14 +139,14 @@ class JointPmf:
 def binary_entropy(t: float) -> BitsValue:
     """H_b(t) = -t log2 t - (1-t) log2(1-t), in bits.
 
-    Symmetric about 1/2.  Accepts t within ``PROB_TOL`` of [0, 1] and
+    Symmetric about 1/2.  Accepts t within ``ROUND_TOL`` of [0, 1] and
     clamps it; rejects anything further out.  The (1-t) term uses
     ``log1p`` so values near t = 0 keep full precision.
     """
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"binary_entropy needs a finite probability, got {t!r}")
-    if t < -PROB_TOL or t > 1.0 + PROB_TOL:
+    if t < -ROUND_TOL or t > 1.0 + ROUND_TOL:
         raise DomainError(f"binary_entropy argument {t!r} outside [0, 1]")
     if t <= 0.0 or t >= 1.0:
         return 0.0
@@ -150,8 +174,8 @@ def entropy(p: Pmf) -> BitsValue:
 def mutual_information(j: JointPmf) -> BitsValue:
     """I(X;Y) = H(X) + H(Y) - H(X,Y) in bits, clamped to be non-negative.
 
-    Rounding in the three entropy sums can leave a residual of order
-    1e-16 below zero; that is clamped to exactly 0.0.
+    Rounding in the three entropy sums can leave a residual a few ulps
+    below zero; that is clamped to exactly 0.0.
     """
     hx = entropy(j.marginal_x())
     hy = entropy(j.marginal_y())

@@ -77,7 +77,7 @@ def test_feasibility_gate_threshold():
     assert feasibility(RateClassProblem(0.3, 0.4, 0.1, 0.5, hb1 + 0.2))
     assert not feasibility(RateClassProblem(0.3, 0.4, 0.1, 0.5, hb1 - 1e-6))
     # The gate is judged in weight: 1e-11 bits below H_b(q_S1) puts the
-    # floor on p1 + p2 only 2.2e-11 above 1, within FEAS_TOL.
+    # floor on p1 + p2 only 2.2e-11 above 1, within WEIGHT_TOL.
     assert feasibility(RateClassProblem(0.3, 0.4, 0.1, 0.5, hb1 - 1e-11))
 
 

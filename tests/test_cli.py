@@ -351,6 +351,24 @@ class TestOracle:
             else:
                 assert cells[:2] == [verdict, verdict]
 
+    @pytest.mark.parametrize("qx, qy, qs1, rate, cclass", [
+        # C = H_b(q_S1) with a gap of 1e-8: the label floor is 1 and both
+        # solvers must find it feasible.
+        ("0.09471647455084391", "0.3675483765782794", "0.49989900241663293",
+         "1.0936342874540335", "0.9999999705675441"),
+        # A gap of 2e-11: the two solvers must build the same label row.
+        ("0.1443579007878032", "0.21795283320163145", "0.49999808497496545",
+         "0.644018240394285", "0.9999999999894185"),
+    ])
+    def test_label_row_near_half_label_noise_agrees(self, qx, qy, qs1, rate, cclass):
+        proc = run_cli(
+            "oracle", "--qx", qx, "--qy", qy, "--qs1", qs1, "--rate", rate,
+            "--cclass", cclass,
+        )
+        assert proc.returncode == 0, proc.stderr
+        data = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
+        assert float(data[1].split(",")[2]) <= 1e-8
+
 
 class TestConfigAndOutput:
     def test_config_file_fills_missing_flags(self, tmp_path):
@@ -384,6 +402,25 @@ class TestConfigAndOutput:
                        "--qy", "0.3", "--rate", "0.5")
         assert proc.returncode == 1
         assert "does not apply" in proc.stderr
+
+    def test_config_value_gets_the_flags_choices_check(self, tmp_path):
+        cfg = tmp_path / "fmt.cfg"
+        cfg.write_text("format=xml\nqx=0.2\nqy=0.3\nrate=0.5\n")
+        proc = run_cli("solve", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert "xml" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_config_from_and_to_keys_fill_a_sweep(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("var=rate\nfrom=0\nto=1\nsteps=3\nqx=0.2\nqy=0.3\n")
+        argv = ("sweep", "--config", str(cfg), "--to", "0.5")
+        proc = run_cli(*argv)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[1] == "# command: " + " ".join(argv)
+        data = [ln for ln in lines if not ln.startswith("#")]
+        assert [row.split(",")[3] for row in data[1:]] == ["0.0", "0.25", "0.5"]
 
     def test_relative_output_resolves_under_env_dir(self, tmp_path):
         proc = run_cli(

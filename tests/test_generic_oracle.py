@@ -20,6 +20,7 @@ from ratemec import (
     coupling_oracle_theta,
     enumerate_maps,
     frechet_interval,
+    label_params,
     solve_mecbr,
     solve_mecbrc,
     solve_vertex,
@@ -111,6 +112,26 @@ class TestEnumerateMaps:
         table = enumerate_maps(2, 2, _binary_pmf(0.3))
         with pytest.raises(ValueError):
             table.maps[0, 0] = 1
+
+    def test_label_terms_equal_label_params_bitwise(self):
+        # Near q_S1 = 1/2 the gap H_b(m) - H_b(q_S1) is 1e-8, so an ulp in
+        # either term moves the label row's bound in weight by about 1e-8;
+        # the oracle must build the row from the closed form's two numbers.
+        q_x, q_y, q_s1 = 0.09471647455084391, 0.3675483765782794, 0.49989900241663293
+        lp = label_params(RateClassProblem(q_x, q_y, q_s1, 1.0, 1.0))
+        table = enumerate_maps(2, 2, _binary_pmf(q_x), q_s1=q_s1)
+        assert table.cls_terms.tolist() == [lp.h_b_qs1, lp.h_b_qs1, lp.h_b_m, lp.h_b_m]
+
+    def test_label_terms_for_a_ternary_output(self):
+        # Injective maps (two distinct outputs) leave H_b(q_S1), constant
+        # maps H_b(m), whatever the output alphabet.
+        q_x, q_s1 = 0.3, 0.2
+        lp = label_params(RateClassProblem(q_x, 0.4, q_s1, 1.0, 1.0))
+        table = enumerate_maps(2, 3, _binary_pmf(q_x), q_s1=q_s1)
+        injective = table.maps[:, 0] != table.maps[:, 1]
+        assert np.all(table.cls_terms[injective] == lp.h_b_qs1)
+        assert np.all(table.cls_terms[~injective] == lp.h_b_m)
+        assert not table.cls_terms.flags.writeable
 
 
 class TestBuildPolytope:
