@@ -9,7 +9,6 @@ from .bernoulli_rate import (
     MapMixture,
     RateProblem,
     SolverResult,
-    alpha,
     saturation_rate,
     solve_mecbr,
 )
@@ -30,7 +29,6 @@ from .errors import (
 )
 from .generic_oracle import (
     DEFAULT_MAP_CAP,
-    FrechetInterval,
     LinearPolytope,
     MapTable,
     build_polytope,
@@ -45,7 +43,6 @@ from .prob_core import (
     JointPmf,
     Pmf,
     binary_entropy,
-    binary_entropy_derivative,
     conditional_entropy,
     entropy,
     mutual_information,
@@ -62,7 +59,6 @@ __all__ = [
     "DerivedLabelParams",
     "DimensionCapError",
     "DomainError",
-    "FrechetInterval",
     "InfeasibleError",
     "JointPmf",
     "LinearPolytope",
@@ -77,9 +73,7 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "SolverResult",
-    "alpha",
     "binary_entropy",
-    "binary_entropy_derivative",
     "build_polytope",
     "conditional_entropy",
     "coupling_oracle_theta",

@@ -182,20 +182,6 @@ def _objective_value(q_x: float, q_y: float, d: float) -> float:
     )
 
 
-def alpha(q_x: float, q_y: float, rate: float) -> float:
-    """Step size of the aligned family: min of the rate cap and marginal cap.
-
-    Equals min(R / H_b(q_X), q_Y / q_X) when q_Y <= q_X and
-    min(R / H_b(q_X), (1 - q_Y) / (1 - q_X)) otherwise; the two marginal
-    fractions coincide at q_Y = q_X.
-    """
-    p = RateProblem(q_x, q_y, rate)
-    rate_cap = p.rate / binary_entropy(p.q_x)
-    if p.q_y <= p.q_x:
-        return min(rate_cap, p.q_y / p.q_x)
-    return min(rate_cap, (1.0 - p.q_y) / (1.0 - p.q_x))
-
-
 def saturation_rate(q_x: float, q_y: float) -> float:
     """Smallest rate beyond which the marginal cap, not R, limits coupling.
 

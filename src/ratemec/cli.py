@@ -1,5 +1,10 @@
 """Command-line front end: solve, sweep, oracle, simulate.
 
+Every subcommand takes one path from flags to answers: ``_problem``
+builds a ``RateProblem``, or a ``RateClassProblem`` when ``--qs1`` is
+given, and ``_solve`` hands it to ``solve_mecbr`` or ``solve_mecbrc``
+by its type.  A curve row is a plain tuple in ``SCHEMA`` order.
+
 Output discipline: data rows are a pure function of the flags (floats
 rendered with repr, so identical invocations produce byte-identical
 rows), metadata lines are prefixed with ``#`` and carry no timestamps,
@@ -22,14 +27,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .bernoulli_rate import MapMixture, RateProblem, solve_mecbr
+from .bernoulli_rate import MapMixture, RateProblem, SolverResult, solve_mecbr
 from .bernoulli_rate_class import RateClassProblem, solve_mecbrc
 from .errors import (
     DomainError,
@@ -83,64 +88,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """One output row; field order matches the CSV schema exactly."""
-
-    qx: float
-    qy: float
-    qs1: float | None
-    rate: float
-    cclass: float | None
-    value_bits: float | None
-    p1: float | None
-    p2: float | None
-    p3: float | None
-    p4: float | None
-    case_label: str
-    alpha: float | None
-
-    def _values(self) -> tuple:
-        return (
-            self.qx, self.qy, self.qs1, self.rate, self.cclass,
-            self.value_bits, self.p1, self.p2, self.p3, self.p4,
-            self.case_label, self.alpha,
-        )
-
-    def csv_row(self) -> str:
-        return ",".join(_fmt(v) for v in self._values())
-
-    def as_dict(self) -> dict:
-        return dict(zip(SCHEMA.split(","), self._values()))
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Validated sweep request: which budget varies and over what grid."""
-
-    var: str
-    start: float
-    stop: float
-    steps: int
-
-    def __post_init__(self) -> None:
-        if self.var not in ("rate", "cclass"):
-            raise DomainError(f"--var must be 'rate' or 'cclass', got {self.var!r}")
-        if not (self.start <= self.stop):
-            raise DomainError(
-                f"sweep start {self.start!r} must not exceed stop {self.stop!r}"
-            )
-        if self.steps < 2:
-            raise DomainError(f"sweep needs at least 2 steps, got {self.steps!r}")
-        if self.steps > MAX_STEPS:
-            raise DomainError(
-                f"sweep allows at most {MAX_STEPS} steps, got {self.steps!r}"
-            )
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.steps)
 
 
 _FLAG_NAMES = {"start": "from", "stop": "to"}
@@ -217,87 +164,87 @@ def _meta_lines(args: argparse.Namespace) -> list[str]:
     return [f"# ratemec {__version__}", f"# command: {echo}"]
 
 
-def _solve_point(
-    qx: float, qy: float, qs1: float | None, rate: float, cclass: float | None
-) -> CurvePoint:
-    if qs1 is not None:
-        result = solve_mecbrc(RateClassProblem(qx, qy, qs1, rate, cclass))
-    else:
-        result = solve_mecbr(RateProblem(qx, qy, rate))
+def _problem(
+    args: argparse.Namespace, rate: float, cclass: float | None
+) -> RateProblem | RateClassProblem:
+    if args.qs1 is not None:
+        return RateClassProblem(args.qx, args.qy, args.qs1, rate, cclass)
+    return RateProblem(args.qx, args.qy, rate)
+
+
+def _solve(problem: RateProblem | RateClassProblem) -> SolverResult:
+    if isinstance(problem, RateClassProblem):
+        return solve_mecbrc(problem)
+    return solve_mecbr(problem)
+
+
+def _row(
+    args: argparse.Namespace, rate: float, cclass: float | None,
+    result: SolverResult | None = None,
+) -> tuple:
+    """One curve row in ``SCHEMA`` order; no result gives the Infeasible row."""
+    head = (args.qx, args.qy, args.qs1, rate, cclass)
+    if result is None:
+        return head + (None,) * 5 + ("Infeasible", None)
     m = result.mixture
-    return CurvePoint(
-        qx=qx, qy=qy, qs1=qs1, rate=rate, cclass=cclass,
-        value_bits=result.value,
-        p1=m.p1 if m is not None else None,
-        p2=m.p2 if m is not None else None,
-        p3=m.p3 if m is not None else None,
-        p4=m.p4 if m is not None else None,
-        case_label=result.case_label,
-        alpha=result.alpha,
-    )
+    weights = (None,) * 4 if m is None else (m.p1, m.p2, m.p3, m.p4)
+    return head + (result.value, *weights, result.case_label, result.alpha)
 
 
-def _infeasible_point(
-    qx: float, qy: float, qs1: float | None, rate: float, cclass: float | None
-) -> CurvePoint:
-    return CurvePoint(
-        qx=qx, qy=qy, qs1=qs1, rate=rate, cclass=cclass,
-        value_bits=None, p1=None, p2=None, p3=None, p4=None,
-        case_label="Infeasible", alpha=None,
-    )
-
-
-def _emit_points(points: list[CurvePoint], args: argparse.Namespace) -> None:
-    fmt = args.format or "csv"
-    if fmt == "json":
-        payload = [p.as_dict() for p in points]
+def _emit_rows(rows: list[tuple], args: argparse.Namespace) -> None:
+    if (args.format or "csv") == "json":
+        payload = [dict(zip(SCHEMA.split(","), row)) for row in rows]
         text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
     else:
-        lines = _meta_lines(args) + [SCHEMA] + [p.csv_row() for p in points]
-        text = "\n".join(lines)
+        lines = [",".join(_fmt(v) for v in row) for row in rows]
+        text = "\n".join(_meta_lines(args) + [SCHEMA] + lines)
     _emit(text, args)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     _require(args, ["qx", "qy", "rate"])
     _check_label_pair(args)
-    point = _solve_point(args.qx, args.qy, args.qs1, args.rate, args.cclass)
-    _emit_points([point], args)
+    result = _solve(_problem(args, args.rate, args.cclass))
+    _emit_rows([_row(args, args.rate, args.cclass, result)], args)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     _require(args, ["var", "start", "stop", "steps", "qx", "qy"])
-    if args.var == "rate" and args.rate is not None:
-        raise DomainError("--rate conflicts with --var rate; set the range with --from/--to")
-    if args.var == "cclass":
+    by_rate = args.var == "rate"
+    if by_rate:
+        if args.rate is not None:
+            raise DomainError("--rate conflicts with --var rate; set the range with --from/--to")
+        _check_label_pair(args)
+    else:
         if args.cclass is not None:
             raise DomainError("--cclass conflicts with --var cclass; set the range with --from/--to")
         _require(args, ["rate", "qs1"])
-    if args.var == "rate":
-        _check_label_pair(args)
-    spec = SweepSpec(var=args.var, start=args.start, stop=args.stop, steps=args.steps)
+    if not (args.start <= args.stop):
+        raise DomainError(f"sweep start {args.start!r} must not exceed stop {args.stop!r}")
+    if args.steps < 2:
+        raise DomainError(f"sweep needs at least 2 steps, got {args.steps!r}")
+    if args.steps > MAX_STEPS:
+        raise DomainError(f"sweep allows at most {MAX_STEPS} steps, got {args.steps!r}")
 
-    points: list[CurvePoint] = []
-    prev_value: float | None = None
-    for v in spec.grid():
-        rate = float(v) if spec.var == "rate" else args.rate
-        cclass = args.cclass if spec.var == "rate" else float(v)
+    rows: list[tuple] = []
+    prev_value = -math.inf
+    for v in np.linspace(args.start, args.stop, args.steps):
+        rate, cclass = (float(v), args.cclass) if by_rate else (args.rate, float(v))
         try:
-            point = _solve_point(args.qx, args.qy, args.qs1, rate, cclass)
+            result = _solve(_problem(args, rate, cclass))
         except InfeasibleError:
-            points.append(_infeasible_point(args.qx, args.qy, args.qs1, rate, cclass))
+            rows.append(_row(args, rate, cclass))
             continue
-        if spec.var == "rate" and prev_value is not None:
-            if point.value_bits < prev_value - ROUND_TOL:
+        if by_rate:
+            if result.value < prev_value - ROUND_TOL:
                 raise MonotonicityError(
-                    f"value decreased from {prev_value!r} to {point.value_bits!r} "
+                    f"value decreased from {prev_value!r} to {result.value!r} "
                     f"at rate={rate!r}; the curve must be nondecreasing in the rate budget"
                 )
-        if spec.var == "rate":
-            prev_value = point.value_bits
-        points.append(point)
-    _emit_points(points, args)
+            prev_value = result.value
+        rows.append(_row(args, rate, cclass, result))
+    _emit_rows(rows, args)
     return 0
 
 
@@ -307,12 +254,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     closed_value: float | None = None
     try:
-        if args.qs1 is not None:
-            closed_value = solve_mecbrc(
-                RateClassProblem(args.qx, args.qy, args.qs1, args.rate, args.cclass)
-            ).value
-        else:
-            closed_value = solve_mecbr(RateProblem(args.qx, args.qy, args.rate)).value
+        closed_value = _solve(_problem(args, args.rate, args.cclass)).value
     except InfeasibleError:
         pass
     perturb = os.environ.get("RATEMEC_ORACLE_PERTURB")
@@ -323,9 +265,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     p_x = Pmf(np.array([1.0 - args.qx, args.qx]))
     p_y = Pmf(np.array([1.0 - args.qy, args.qy]))
     table = enumerate_maps(2, 2, p_x, q_s1=args.qs1)
-    polytope = build_polytope(
-        table, p_y, rate=args.rate, cclass=args.cclass
-    )
+    polytope = build_polytope(table, p_y, rate=args.rate, cclass=args.cclass)
     try:
         vertex_value = solve_vertex(polytope, table, p_x).value
     except InfeasibleError:
@@ -382,10 +322,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     _require(args, ["qx", "qy", "rate", "samples", "seed"])
     _check_label_pair(args)
-    if args.qs1 is not None:
-        problem = RateClassProblem(args.qx, args.qy, args.qs1, args.rate, args.cclass)
-    else:
-        problem = RateProblem(args.qx, args.qy, args.rate)
+    problem = _problem(args, args.rate, args.cclass)
 
     if args.mixture is not None:
         parts = args.mixture.split(",")
@@ -399,10 +336,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise DomainError(f"cannot parse --mixture {args.mixture!r}") from exc
         mixture = MapMixture(*weights)
     else:
-        if args.qs1 is not None:
-            mixture = solve_mecbrc(problem).mixture
-        else:
-            mixture = solve_mecbr(problem).mixture
+        mixture = _solve(problem).mixture
 
     cfg = SimConfig(
         problem=problem,
@@ -414,21 +348,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report = simulate(cfg)
     slacks = verify_constraints(report, problem)
 
-    fmt = args.format or "json"
-    if fmt == "json":
-        payload = report.to_dict()
+    payload = report.to_dict()
+    if (args.format or "json") == "json":
         payload["slacks"] = slacks
         text = json.dumps(payload, indent=2)
     else:
-        row = ",".join(_fmt(v) for v in (
-            report.q_x, report.q_y, report.q_s1, report.rate, report.cclass,
-            report.samples, report.seed, report.streams, report.generator,
-            report.q_y_hat, report.mi_xy_hat, report.h_y_given_u_hat,
-            report.h_y_given_xu_hat, report.h_s_given_y_hat,
-            report.h_s_given_yu_hat,
-            slacks["rate_slack"], slacks["class_slack_s_given_y"],
-            slacks["class_slack_s_given_y_u"],
-        ))
+        # SIM_SCHEMA lists the payload's scalar fields in order, then the slacks.
+        scalars = [v for v in payload.values() if not isinstance(v, list)]
+        row = ",".join(_fmt(v) for v in scalars + list(slacks.values()))
         text = "\n".join(_meta_lines(args) + [SIM_SCHEMA, row])
     _emit(text, args)
     return 0

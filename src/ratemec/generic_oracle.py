@@ -50,6 +50,9 @@ DEFAULT_MAP_CAP = 4096
 #: Ceiling on the number of bases :func:`solve_vertex` may enumerate.
 MAX_BASES = 100_000
 
+#: Ceiling on the number of points :func:`coupling_oracle_theta` may scan.
+MAX_GRID = 1_000_000
+
 _NO_POINT = "no basic feasible point satisfies every constraint row"
 
 
@@ -83,27 +86,12 @@ class LinearPolytope:
     ub_names: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FrechetInterval:
-    """Feasible range of the joint cell P(X=1, Y=1) given Bernoulli marginals."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise DomainError("Frechet interval endpoints must be finite")
-        if self.lower > self.upper + ROUND_TOL:
-            raise DomainError(
-                f"empty Frechet interval [{self.lower!r}, {self.upper!r}]"
-            )
-
-
-def frechet_interval(q_x: float, q_y: float) -> FrechetInterval:
+def frechet_interval(q_x: float, q_y: float) -> tuple[float, float]:
+    """(lower, upper) range of the joint cell P(X=1, Y=1) given Bernoulli marginals."""
     for name, q in (("q_x", q_x), ("q_y", q_y)):
         if not math.isfinite(q) or q <= 0.0 or q >= 1.0:
             raise DomainError(f"{name}={q!r} outside (0, 1)")
-    return FrechetInterval(max(0.0, q_x + q_y - 1.0), min(q_x, q_y))
+    return max(0.0, q_x + q_y - 1.0), min(q_x, q_y)
 
 
 def enumerate_maps(
@@ -337,13 +325,16 @@ def coupling_oracle_theta(q_x: float, q_y: float, grid: int) -> tuple[float, Bit
     theta = P(X=1, Y=1) across the Frechet interval (both endpoints are
     always included) and returns the maximizing theta with its value in
     bits.  For marginals in (0, 1/2] the maximizer is the upper endpoint
-    min(q_x, q_y).
+    min(q_x, q_y).  More than ``MAX_GRID`` points raise
+    :class:`DomainError` before any array is allocated.
     """
     if grid < 2:
         raise DomainError(f"grid must be >= 2, got {grid!r}")
-    iv = frechet_interval(q_x, q_y)
+    if grid > MAX_GRID:
+        raise DomainError(f"grid allows at most {MAX_GRID} points, got {grid!r}")
+    lower, upper = frechet_interval(q_x, q_y)
     thetas = np.unique(
-        np.concatenate([np.linspace(iv.lower, iv.upper, int(grid)), [iv.lower, iv.upper]])
+        np.concatenate([np.linspace(lower, upper, int(grid)), [lower, upper]])
     )
 
     def cell_term(c: np.ndarray, px: float, py: float) -> np.ndarray:

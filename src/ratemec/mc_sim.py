@@ -26,6 +26,10 @@ from .bernoulli_rate_class import RateClassProblem
 from .errors import DomainError
 from .prob_core import BitsValue, JointPmf, conditional_entropy, mutual_information
 
+#: Draws per chunk of a stream; a stream of at most this many draws
+#: makes one call per variable.
+_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -110,33 +114,35 @@ class SimReport:
 def simulate(cfg: SimConfig) -> SimReport:
     """Run the sampling pipeline and estimate every tracked entropy.
 
-    Draw order per stream is fixed (U first, then X, then the label
-    flip) so that a given (seed, samples, streams) triple always yields
-    the same counts table.
+    Each stream draws in chunks of at most ``_CHUNK`` draws, so memory
+    stays bounded for any ``samples``; draw order per chunk is fixed (U
+    first, then X, then the label flip) so that a given (seed, samples,
+    streams) triple always yields the same counts table.
     """
     q_x = cfg.problem.q_x
     q_y = cfg.problem.q_y
     q_s1 = getattr(cfg.problem, "q_s1", 0.5)
     cclass = getattr(cfg.problem, "cclass", None)
 
-    root = np.random.SeedSequence(cfg.seed)
-    children = root.spawn(cfg.streams) if cfg.streams > 1 else [root]
-    base, extra = divmod(cfg.samples, len(children))
+    base, extra = divmod(cfg.samples, cfg.streams)
     weights = cfg.mixture.as_array()
 
     counts = np.zeros((4, 2, 2, 2), dtype=np.int64)
-    for i, child in enumerate(children):
+    # Only the first min(streams, samples) streams draw anything.
+    for i in range(min(cfg.streams, cfg.samples)):
         size = base + (1 if i < extra else 0)
-        if size == 0:
-            continue
-        rng = np.random.Generator(np.random.PCG64(child))
-        u = rng.choice(4, size=size, p=weights)
-        x = (rng.random(size) < q_x).astype(np.int64)
-        s1 = (rng.random(size) < q_s1).astype(np.int64)
-        y = BINARY_MAPS[u, x].astype(np.int64)
-        s = x ^ s1
-        idx = ((u * 2 + x) * 2 + y) * 2 + s
-        counts += np.bincount(idx, minlength=32).reshape(4, 2, 2, 2)
+        # Stream i's seed is bitwise the i-th child of SeedSequence.spawn.
+        seq = np.random.SeedSequence(cfg.seed, spawn_key=(i,) if cfg.streams > 1 else ())
+        rng = np.random.Generator(np.random.PCG64(seq))
+        for start in range(0, size, _CHUNK):
+            k = min(_CHUNK, size - start)
+            u = rng.choice(4, size=k, p=weights)
+            x = (rng.random(k) < q_x).astype(np.int64)
+            s1 = (rng.random(k) < q_s1).astype(np.int64)
+            y = BINARY_MAPS[u, x].astype(np.int64)
+            s = x ^ s1
+            idx = ((u * 2 + x) * 2 + y) * 2 + s
+            counts += np.bincount(idx, minlength=32).reshape(4, 2, 2, 2)
 
     n = float(cfg.samples)
     cells = counts / n

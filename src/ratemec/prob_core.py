@@ -3,7 +3,7 @@
 This module owns the small set of information measures the solvers are
 built from: pmf and joint-pmf containers with strict validation, Shannon
 entropy, mutual information, conditional entropy, and the binary entropy
-function with its derivative.
+function.
 
 Conventions
 -----------
@@ -23,8 +23,8 @@ Every tolerance of the package is defined here, one name per role:
   weights are clamped within it; the label row counts as constant when
   its gap H_b(m) - H_b(q_S1) is at most it, and that constant row is
   then held to C in bits within it; H_b(m) >= H_b(q_S1) is checked to
-  it; vertex values within it tie; a Frechet interval is empty beyond
-  it; and a rate sweep may not fall by more than it.
+  it; vertex values within it tie; and a rate sweep may not fall by
+  more than it.
 - ``ROW_TOL`` = 1e-10: how far a basic solution of the vertex oracle
   may miss an equality row, or fall below zero on a weight or on the
   rate row's slack (in bits).
@@ -39,8 +39,9 @@ Every tolerance of the package is defined here, one name per role:
 - ``ORACLE_TOL`` = 1e-8, in bits: how closely the closed form and the
   vertex oracle must agree, or ``ratemec oracle`` exits 4.
 
-Work bounds (``MAX_BASES``, ``MAX_STEPS``, ``DEFAULT_MAP_CAP``) and the
-log floor of the grid scan are not tolerances and live with their code.
+Work bounds (``MAX_BASES``, ``MAX_GRID``, ``MAX_STEPS``,
+``DEFAULT_MAP_CAP``) and the log floor of the grid scan are not
+tolerances and live with their code.
 
 All operations are pure functions on immutable values and are safe to
 call concurrently.
@@ -151,16 +152,6 @@ def binary_entropy(t: float) -> BitsValue:
     if t <= 0.0 or t >= 1.0:
         return 0.0
     return -t * math.log2(t) - (1.0 - t) * (math.log1p(-t) / _LN2)
-
-
-def binary_entropy_derivative(t: float) -> float:
-    """d/dt H_b(t) = log2((1-t)/t); strictly decreasing on (0, 1)."""
-    t = float(t)
-    if not math.isfinite(t) or t <= 0.0 or t >= 1.0:
-        raise DomainError(
-            f"binary_entropy_derivative is defined only on the open interval (0, 1), got {t!r}"
-        )
-    return math.log2(1.0 - t) - math.log2(t)
 
 
 def entropy(p: Pmf) -> BitsValue:

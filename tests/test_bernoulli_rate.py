@@ -10,7 +10,6 @@ from ratemec import (
     DomainError,
     MapMixture,
     RateProblem,
-    alpha,
     binary_entropy,
     mutual_information,
     saturation_rate,
@@ -69,16 +68,6 @@ def test_map_mixture_induced_marginal():
     assert m.induced_qy(0.25) == pytest.approx(0.4 * 0.25 + 0.1 * 0.75 + 0.2, abs=1e-15)
     j = m.induced_joint(0.25)
     assert j.marginal_x().masses[1] == pytest.approx(0.25, abs=1e-15)
-
-
-def test_alpha_frozen_value():
-    assert alpha(0.2, 0.3, 0.5) == pytest.approx(ALPHA_02_03_05, abs=1e-15)
-
-
-def test_alpha_saturates_at_marginal_cap():
-    # Large budgets leave the marginal constraint as the only cap.
-    assert alpha(0.2, 0.3, 10.0) == pytest.approx(7.0 / 8.0, abs=1e-15)
-    assert alpha(0.3, 0.2, 10.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_saturation_rate_frozen_value():

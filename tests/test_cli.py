@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ratemec import (
@@ -273,6 +274,16 @@ class TestOracle:
         assert payload["abs_diff"] <= 1e-8
         assert payload["theta_oracle"]["theta"] == pytest.approx(0.2, abs=1e-15)
 
+    def test_grid_over_the_bound_exits_1(self):
+        # Checked before the theta grid is allocated.
+        proc = run_cli(
+            "oracle", "--qx", "0.2", "--qy", "0.3", "--rate", "1",
+            "--grid", "1000000000000",
+        )
+        assert proc.returncode == 1
+        assert "1000000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_matching_infeasibility_verdicts_exit_0(self):
         proc = run_cli(
             "oracle", "--qx", "0.3", "--qy", "0.4", "--rate", "0.2",
@@ -506,8 +517,21 @@ class TestSimulate:
         data = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
         assert data[0].startswith("qx,qy,qs1,rate,cclass,samples,seed,streams,")
         cells = data[1].split(",")
+        assert len(cells) == len(data[0].split(",")) == 18
         assert cells[5] == "5000"
         assert cells[8] == "pcg64"
+        assert 0.0 < float(cells[9]) < 1.0
+        assert cells[15] != "" and cells[16] == cells[17] == ""
+
+    def test_huge_stream_count_seeds_only_the_streams_that_draw(self):
+        proc = run_cli(
+            "simulate", "--qx", "0.2", "--qy", "0.3", "--rate", "0.5",
+            "--samples", "1000", "--seed", "1", "--streams", "1000000000000",
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["streams"] == 10**12
+        assert np.sum(payload["counts"]) == 1000
 
     def test_label_problem_reports_class_slacks(self):
         proc = run_cli(

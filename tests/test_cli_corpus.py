@@ -11,6 +11,10 @@ The hashes were recorded at commit 22db065, the parent of the change
 that moved every tolerance into ``prob_core``.  A change that alters
 these bytes on purpose must update the hashes here and say so in
 ``CHANGES.md``.
+
+``ERRORS`` pins the exit code and the exact stderr of the usage and
+infeasibility paths of ``solve`` and ``sweep``, recorded at commit
+56fb260, before the CLI's three solver dispatches became one.
 """
 
 import hashlib
@@ -81,3 +85,66 @@ def test_data_rows_are_byte_identical(name, capsys):
     assert cli.main(argv) == 0
     rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == expected
+
+
+_SWEEP = ["sweep", "--qx", "0.2", "--qy", "0.3"]
+_UNIT = ["--from", "0", "--to", "1"]
+
+#: name -> (argv, exit code, exact stderr)
+ERRORS = {
+    "sweep-one-step": (
+        [*_SWEEP, "--var", "rate", *_UNIT, "--steps", "1"],
+        1, "error: sweep needs at least 2 steps, got 1\n",
+    ),
+    "sweep-steps-over-bound": (
+        [*_SWEEP, "--var", "rate", *_UNIT, "--steps", "1000001"],
+        1, "error: sweep allows at most 1000000 steps, got 1000001\n",
+    ),
+    "sweep-start-after-stop": (
+        [*_SWEEP, "--var", "rate", "--from", "1", "--to", "0", "--steps", "3"],
+        1, "error: sweep start 1.0 must not exceed stop 0.0\n",
+    ),
+    "sweep-rate-flag-and-var-rate": (
+        [*_SWEEP, "--var", "rate", *_UNIT, "--steps", "3", "--rate", "0.5"],
+        1, "error: --rate conflicts with --var rate; set the range with --from/--to\n",
+    ),
+    "sweep-cclass-flag-and-var-cclass": (
+        [*_SWEEP, "--var", "cclass", *_UNIT, "--steps", "3", "--rate", "0.5",
+         "--qs1", "0.1", "--cclass", "0.3"],
+        1, "error: --cclass conflicts with --var cclass; set the range with --from/--to\n",
+    ),
+    "sweep-cclass-without-qs1": (
+        [*_SWEEP, "--var", "cclass", *_UNIT, "--steps", "3", "--rate", "0.5"],
+        1, "error: missing required flags: --qs1\n",
+    ),
+    "sweep-rate-qs1-without-cclass": (
+        [*_SWEEP, "--var", "rate", *_UNIT, "--steps", "3", "--qs1", "0.1"],
+        1, "error: --qs1 and --cclass must be given together\n",
+    ),
+    "solve-cclass-without-qs1": (
+        ["solve", "--qx", "0.2", "--qy", "0.3", "--rate", "0.5", "--cclass", "0.1"],
+        1, "error: --qs1 and --cclass must be given together\n",
+    ),
+    "solve-label-gate": (
+        ["solve", "--qx", "0.3", "--qy", "0.4", "--rate", "2", "--qs1", "0.01",
+         "--cclass", "0.05"],
+        2, "infeasible: classification budget C=0.05 is below "
+           "H_b(q_S1)=0.08079313589591117; no coupling can satisfy it\n",
+    ),
+    "solve-joint-infeasible": (
+        ["solve", "--qx", "0.3", "--qy", "0.4", "--rate", "0.1", "--qs1", "0.01",
+         "--cclass", "0.4"],
+        2, "infeasible: budgets are jointly unsatisfiable: the label row requires "
+           "informative weight p1 + p2 >= 0.6036334563442076 but the rate budget "
+           "allows at most R / H_b(q_X) = 0.11346991111254326\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERRORS))
+def test_error_paths_keep_their_exit_code_and_stderr(name, capsys):
+    argv, code, stderr = ERRORS[name]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == stderr
+    assert captured.out == ""

@@ -10,7 +10,6 @@ from ratemec import (
     DEFAULT_MAP_CAP,
     DimensionCapError,
     DomainError,
-    FrechetInterval,
     InfeasibleError,
     Pmf,
     RateClassProblem,
@@ -25,7 +24,7 @@ from ratemec import (
     solve_mecbrc,
     solve_vertex,
 )
-from ratemec.generic_oracle import MAX_BASES
+from ratemec.generic_oracle import MAX_BASES, MAX_GRID
 
 # H_b(0.3) = 0.8812908992306926 bits (frozen from a 50-digit evaluation).
 HB_03 = 0.8812908992306926
@@ -309,24 +308,20 @@ class TestSolveVertex:
 
 class TestFrechetInterval:
     def test_low_marginals_interval(self):
-        iv = frechet_interval(0.2, 0.3)
-        assert iv.lower == 0.0
-        assert iv.upper == pytest.approx(0.2, abs=1e-15)
+        lower, upper = frechet_interval(0.2, 0.3)
+        assert lower == 0.0
+        assert upper == pytest.approx(0.2, abs=1e-15)
 
     def test_high_marginals_force_overlap(self):
-        iv = frechet_interval(0.7, 0.8)
-        assert iv.lower == pytest.approx(0.5, abs=1e-15)
-        assert iv.upper == pytest.approx(0.7, abs=1e-15)
+        lower, upper = frechet_interval(0.7, 0.8)
+        assert lower == pytest.approx(0.5, abs=1e-15)
+        assert upper == pytest.approx(0.7, abs=1e-15)
 
     def test_rejects_boundary_marginals(self):
         with pytest.raises(DomainError):
             frechet_interval(0.0, 0.3)
         with pytest.raises(DomainError):
             frechet_interval(0.3, 1.0)
-
-    def test_interval_type_rejects_inverted_endpoints(self):
-        with pytest.raises(DomainError, match="empty"):
-            FrechetInterval(0.5, 0.2)
 
 
 class TestCouplingOracleTheta:
@@ -360,3 +355,10 @@ class TestCouplingOracleTheta:
     def test_rejects_tiny_grid(self):
         with pytest.raises(DomainError, match="grid"):
             coupling_oracle_theta(0.2, 0.3, 1)
+
+    def test_grid_over_the_bound_is_rejected_before_allocating(self):
+        # 10**12 points would need terabytes; the bound is checked first.
+        with pytest.raises(DomainError, match=str(MAX_GRID)):
+            coupling_oracle_theta(0.2, 0.3, 10**12)
+        theta, _ = coupling_oracle_theta(0.2, 0.3, MAX_GRID)
+        assert theta == pytest.approx(0.2, abs=1e-15)

@@ -16,6 +16,7 @@ from ratemec import (
     solve_mecbr,
     verify_constraints,
 )
+from ratemec import mc_sim
 
 # H_b(0.2) = 0.7219280948873623 bits (frozen from a 50-digit evaluation).
 HB_02 = 0.7219280948873623
@@ -71,6 +72,13 @@ class TestSimulateDeterminism:
         b = simulate(_rate_cfg(streams=3))
         assert not np.array_equal(a.counts, b.counts)
         assert int(b.counts.sum()) == a.samples
+
+    def test_chunked_draws_sum_and_reproduce(self, monkeypatch):
+        monkeypatch.setattr(mc_sim, "_CHUNK", 1_000)
+        a = simulate(_rate_cfg(samples=5_000))
+        b = simulate(_rate_cfg(samples=5_000))
+        np.testing.assert_array_equal(a.counts, b.counts)
+        assert int(a.counts.sum()) == 5_000
 
 
 class TestSimulateEstimates:

@@ -8,7 +8,6 @@ from ratemec import (
     JointPmf,
     Pmf,
     binary_entropy,
-    binary_entropy_derivative,
     conditional_entropy,
     entropy,
     mutual_information,
@@ -53,25 +52,6 @@ def test_binary_entropy_rejects_out_of_range():
         binary_entropy(1.000001)
     with pytest.raises(DomainError):
         binary_entropy(float("nan"))
-
-
-def test_binary_entropy_derivative_zero_at_half():
-    assert binary_entropy_derivative(0.5) == 0.0
-
-
-def test_binary_entropy_derivative_matches_finite_differences():
-    rng = np.random.default_rng(12)
-    h = 1e-7
-    for t in rng.uniform(0.05, 0.95, size=200):
-        fd = (binary_entropy(t + h) - binary_entropy(t - h)) / (2 * h)
-        assert binary_entropy_derivative(t) == pytest.approx(fd, abs=1e-6)
-
-
-def test_binary_entropy_derivative_rejects_endpoints():
-    with pytest.raises(DomainError):
-        binary_entropy_derivative(0.0)
-    with pytest.raises(DomainError):
-        binary_entropy_derivative(1.0)
 
 
 def test_pmf_rejects_bad_mass_vectors():
