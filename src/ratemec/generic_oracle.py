@@ -10,8 +10,11 @@ Two independent oracles cross-check the closed-form solvers:
   objective is convex in the weights, so the maximum is attained at a
   vertex, the basic solution of some basis of the standard form: the k
   marginal rows plus a slack column for each budget row that can cut
-  the simplex (the others are dropped).  Ties go to the smaller
-  support, then to the first basis.
+  the simplex (the others are dropped).  Bases are taken in
+  lexicographic chunks, and each chunk's rank tests and solves are one
+  stacked numpy call; the residual check, the scoring and the tie rule
+  stay per point, in basis order.  Ties go to the smaller support, then
+  to the first basis.
 - :func:`coupling_oracle_theta` scans the single free cell of a 2x2
   coupling over its Frechet interval, verifying the unconstrained
   maximum-information coupling value without reference to map mixtures.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 
@@ -49,6 +52,10 @@ DEFAULT_MAP_CAP = 4096
 
 #: Ceiling on the number of bases :func:`solve_vertex` may enumerate.
 MAX_BASES = 100_000
+
+# Bases per stacked rank test and solve in solve_vertex; bounds its
+# memory for any basis count up to MAX_BASES.
+_CHUNK = 1024
 
 #: Ceiling on the number of points :func:`coupling_oracle_theta` may scan.
 MAX_GRID = 1_000_000
@@ -267,6 +274,13 @@ def solve_vertex(polytope: LinearPolytope, maps: MapTable, p_x: Pmf) -> SolverRe
     maps), then to the first basis in lexicographic order.  More than
     ``MAX_BASES`` bases raise :class:`DimensionCapError` before any is
     solved.
+
+    The subsets go in lexicographic chunks of ``_CHUNK``.  One stacked
+    singular-value call rank-tests a chunk (the count ``matrix_rank``
+    takes), one stacked ``solve`` solves its bases, and the sign test
+    runs on the whole chunk.  The residual check, the scoring and the
+    tie rule stay per point, in basis order, so the chunk size bounds
+    memory and moves no bit of the result.
     """
     k, count = polytope.a_eq.shape[0] - 1, polytope.a_eq.shape[1]
     rows, bounds, tols = _budget_rows(polytope)
@@ -288,25 +302,33 @@ def solve_vertex(polytope: LinearPolytope, maps: MapTable, p_x: Pmf) -> SolverRe
     best_value = -1.0
     best_weights: np.ndarray | None = None
     best_support = count + 1
-    for basis in combinations(range(count + b), m):
-        sub = a[:, basis]
-        if np.linalg.matrix_rank(sub, tol=RANK_TOL) < m:
-            continue
-        x = np.zeros(count + b)
-        x[list(basis)] = np.linalg.solve(sub, rhs)
-        w = x[:count]
-        if np.any(x < -tol) or np.max(np.abs(polytope.a_eq @ w - polytope.b_eq)) > ROW_TOL:
-            continue
-        clipped = np.clip(w, 0.0, None)
-        clipped /= clipped.sum()
-        value = mutual_information(_joint_from_weights(maps, p_x, clipped))
-        support = int(np.count_nonzero(clipped > WEIGHT_TOL))
-        if value > best_value + ROUND_TOL or (
-            abs(value - best_value) <= ROUND_TOL and support < best_support
-        ):
-            best_value = value
-            best_weights = clipped
-            best_support = support
+    combos = combinations(range(count + b), m)
+    for chunk in iter(lambda: list(islice(combos, _CHUNK)), []):
+        basis = np.array(chunk, dtype=np.intp)
+        subs = a[:, basis].transpose(1, 0, 2)
+        singular = np.linalg.svd(subs, compute_uv=False)
+        full = np.count_nonzero(singular > RANK_TOL, axis=-1) == m
+        basis = basis[full]
+        n = basis.shape[0]
+        # An (n, m, 1) right-hand side is a stack of columns under every
+        # numpy >= 1.24; a 1-D one broadcasts differently from 2.0 on.
+        sol = np.linalg.solve(subs[full], np.broadcast_to(rhs[:, None], (n, m, 1)))
+        x = np.zeros((n, count + b))
+        x[np.arange(n)[:, None], basis] = sol[..., 0]
+        for point in x[~np.any(x < -tol, axis=1)]:
+            w = point[:count]
+            if np.max(np.abs(polytope.a_eq @ w - polytope.b_eq)) > ROW_TOL:
+                continue
+            clipped = np.clip(w, 0.0, None)
+            clipped /= clipped.sum()
+            value = mutual_information(_joint_from_weights(maps, p_x, clipped))
+            support = int(np.count_nonzero(clipped > WEIGHT_TOL))
+            if value > best_value + ROUND_TOL or (
+                abs(value - best_value) <= ROUND_TOL and support < best_support
+            ):
+                best_value = value
+                best_weights = clipped
+                best_support = support
 
     if best_weights is None:
         raise InfeasibleError(_NO_POINT)

@@ -30,6 +30,10 @@ from .prob_core import BitsValue, JointPmf, conditional_entropy, mutual_informat
 #: makes one call per variable.
 _CHUNK = 1 << 20
 
+#: Ceiling on the draws of one run, checked before any draw: 10^9 draws
+#: take about a minute.
+MAX_SAMPLES = 10**9
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -58,6 +62,10 @@ class SimConfig:
             raise DomainError(f"mixture must be a MapMixture, got {type(self.mixture).__name__}")
         if self.samples < 1:
             raise DomainError(f"samples must be >= 1, got {self.samples!r}")
+        if self.samples > MAX_SAMPLES:
+            raise DomainError(
+                f"samples allows at most {MAX_SAMPLES} draws, got {self.samples!r}"
+            )
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed!r}")
         if self.streams < 1:
@@ -115,9 +123,11 @@ def simulate(cfg: SimConfig) -> SimReport:
     """Run the sampling pipeline and estimate every tracked entropy.
 
     Each stream draws in chunks of at most ``_CHUNK`` draws, so memory
-    stays bounded for any ``samples``; draw order per chunk is fixed (U
-    first, then X, then the label flip) so that a given (seed, samples,
-    streams) triple always yields the same counts table.
+    stays bounded for any ``samples``; :class:`SimConfig` caps
+    ``samples`` at ``MAX_SAMPLES``, which bounds the time.  Draw order
+    per chunk is fixed (U first, then X, then the label flip) so that a
+    given (seed, samples, streams) triple always yields the same counts
+    table.
     """
     q_x = cfg.problem.q_x
     q_y = cfg.problem.q_y

@@ -40,8 +40,8 @@ Every tolerance of the package is defined here, one name per role:
   vertex oracle must agree, or ``ratemec oracle`` exits 4.
 
 Work bounds (``MAX_BASES``, ``MAX_GRID``, ``MAX_STEPS``,
-``DEFAULT_MAP_CAP``) and the log floor of the grid scan are not
-tolerances and live with their code.
+``MAX_SAMPLES``, ``DEFAULT_MAP_CAP``) and the log floor of the grid scan
+are not tolerances and live with their code.
 
 All operations are pure functions on immutable values and are safe to
 call concurrently.

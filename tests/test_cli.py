@@ -21,6 +21,7 @@ from ratemec import (
     cli,
     label_params,
 )
+from ratemec.mc_sim import MAX_SAMPLES
 
 SCHEMA = "qx,qy,qs1,rate,cclass,value_bits,p1,p2,p3,p4,case_label,alpha"
 
@@ -522,6 +523,17 @@ class TestSimulate:
         assert cells[8] == "pcg64"
         assert 0.0 < float(cells[9]) < 1.0
         assert cells[15] != "" and cells[16] == cells[17] == ""
+
+    def test_sample_count_over_the_bound_exits_1(self, capsys):
+        code = cli.main([
+            "simulate", "--qx", "0.2", "--qy", "0.3", "--rate", "0.5",
+            "--samples", "10000000000", "--seed", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert str(MAX_SAMPLES) in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_huge_stream_count_seeds_only_the_streams_that_draw(self):
         proc = run_cli(

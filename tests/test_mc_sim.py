@@ -38,6 +38,13 @@ class TestSimConfig:
         with pytest.raises(DomainError, match="samples"):
             _rate_cfg(samples=0)
 
+    def test_rejects_samples_over_the_bound_before_drawing(self):
+        # Checked in the config: 10**10 draws would take about 9 minutes.
+        bound = mc_sim.MAX_SAMPLES
+        assert _rate_cfg(samples=bound).samples == bound
+        with pytest.raises(DomainError, match=str(bound)):
+            _rate_cfg(samples=bound + 1)
+
     def test_rejects_zero_streams(self):
         with pytest.raises(DomainError, match="streams"):
             _rate_cfg(streams=0)
