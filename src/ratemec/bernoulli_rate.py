@@ -42,16 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .prob_core import ROUND_TOL, BitsValue, JointPmf, binary_entropy
 
-#: The four deterministic binary maps, one row per map, columns indexed by
-#: the input x: identity, flip, constant 0, constant 1.
-BINARY_MAPS = np.array([[0, 1], [1, 0], [0, 0], [1, 1]], dtype=np.int8)
-BINARY_MAPS.flags.writeable = False
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Case labels reported by the rate solver.
 CASE_RATE_BOUND = "RateBound"
@@ -128,9 +125,6 @@ class MapMixture:
         for name, v in zip(("p1", "p2", "p3", "p4"), cleaned):
             object.__setattr__(self, name, v / total)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p1, self.p2, self.p3, self.p4], dtype=float)
-
     def induced_qy(self, q_x: float) -> float:
         """P(Y = 1) when X ~ Bern(q_x) passes through this mixture."""
         return q_x * self.p1 + (1.0 - q_x) * self.p2 + self.p4
@@ -139,13 +133,10 @@ class MapMixture:
         """The 2x2 joint of (X, Y) induced by the mixture."""
         y1_given_x0 = self.p2 + self.p4
         y1_given_x1 = self.p1 + self.p4
-        table = np.array(
-            [
-                [(1.0 - q_x) * (1.0 - y1_given_x0), (1.0 - q_x) * y1_given_x0],
-                [q_x * (1.0 - y1_given_x1), q_x * y1_given_x1],
-            ]
-        )
-        return JointPmf(table)
+        return JointPmf([
+            [(1.0 - q_x) * (1.0 - y1_given_x0), (1.0 - q_x) * y1_given_x0],
+            [q_x * (1.0 - y1_given_x1), q_x * y1_given_x1],
+        ])
 
     def marginal_residual(self, q_x: float, q_y: float) -> float:
         return self.induced_qy(q_x) - q_y

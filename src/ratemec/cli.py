@@ -4,6 +4,8 @@ Every subcommand takes one path from flags to answers: ``_problem``
 builds a ``RateProblem``, or a ``RateClassProblem`` when ``--qs1`` is
 given, and ``_solve`` hands it to ``solve_mecbr`` or ``solve_mecbrc``
 by its type.  A curve row is a plain tuple in ``SCHEMA`` order.
+``solve`` and ``sweep`` load no numpy; ``oracle`` and ``simulate``
+import the oracle and the sampler, and with them numpy, when they run.
 
 Output discipline: data rows are a pure function of the flags (floats
 rendered with repr, so identical invocations produce byte-identical
@@ -31,8 +33,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .bernoulli_rate import MapMixture, RateProblem, SolverResult, solve_mecbr
 from .bernoulli_rate_class import RateClassProblem, solve_mecbrc
@@ -42,13 +42,6 @@ from .errors import (
     MonotonicityError,
     OracleMismatchError,
 )
-from .generic_oracle import (
-    build_polytope,
-    coupling_oracle_theta,
-    enumerate_maps,
-    solve_vertex,
-)
-from .mc_sim import SimConfig, simulate, verify_constraints
 from .prob_core import ORACLE_TOL, ROUND_TOL, Pmf
 
 #: Fixed curve-point schema; columns are never dropped, only left empty.
@@ -201,6 +194,21 @@ def _emit_rows(rows: list[tuple], args: argparse.Namespace) -> None:
     _emit(text, args)
 
 
+def _grid(start: float, stop: float, steps: int):
+    """``np.linspace(start, stop, steps)`` bit for bit, one point at a time.
+
+    Needs steps >= 2.  Point i is ``start + i*step``, or, where the step
+    underflows to 0 (a subnormal range), ``start + (i/div)*delta`` as
+    numpy does; the last point is ``stop`` itself.
+    """
+    div = steps - 1
+    delta = stop - start
+    step = delta / div
+    for i in range(div):
+        yield start + (i * step if step else i / div * delta)
+    yield stop
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     _require(args, ["qx", "qy", "rate"])
     _check_label_pair(args)
@@ -220,6 +228,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.cclass is not None:
             raise DomainError("--cclass conflicts with --var cclass; set the range with --from/--to")
         _require(args, ["rate", "qs1"])
+    for name in ("start", "stop"):
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise DomainError(f"--{_FLAG_NAMES[name]} must be finite, got {value!r}")
     if not (args.start <= args.stop):
         raise DomainError(f"sweep start {args.start!r} must not exceed stop {args.stop!r}")
     if args.steps < 2:
@@ -229,8 +241,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     rows: list[tuple] = []
     prev_value = -math.inf
-    for v in np.linspace(args.start, args.stop, args.steps):
-        rate, cclass = (float(v), args.cclass) if by_rate else (args.rate, float(v))
+    for v in _grid(args.start, args.stop, args.steps):
+        rate, cclass = (v, args.cclass) if by_rate else (args.rate, v)
         try:
             result = _solve(_problem(args, rate, cclass))
         except InfeasibleError:
@@ -249,6 +261,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .generic_oracle import (
+        build_polytope,
+        coupling_oracle_theta,
+        enumerate_maps,
+        solve_vertex,
+    )
+
     _require(args, ["qx", "qy", "rate"])
     _check_label_pair(args)
 
@@ -262,8 +281,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         closed_value += float(perturb)
 
     vertex_value: float | None = None
-    p_x = Pmf(np.array([1.0 - args.qx, args.qx]))
-    p_y = Pmf(np.array([1.0 - args.qy, args.qy]))
+    p_x = Pmf([1.0 - args.qx, args.qx])
+    p_y = Pmf([1.0 - args.qy, args.qy])
     table = enumerate_maps(2, 2, p_x, q_s1=args.qs1)
     polytope = build_polytope(table, p_y, rate=args.rate, cclass=args.cclass)
     try:
@@ -320,6 +339,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .mc_sim import SimConfig, simulate, verify_constraints
+
     _require(args, ["qx", "qy", "rate", "samples", "seed"])
     _check_label_pair(args)
     problem = _problem(args, args.rate, args.cclass)

@@ -32,7 +32,7 @@ from itertools import combinations, islice, product
 
 import numpy as np
 
-from .bernoulli_rate import BINARY_MAPS, MapMixture, SolverResult
+from .bernoulli_rate import MapMixture, SolverResult
 from .errors import DimensionCapError, DomainError, InfeasibleError
 from .prob_core import (
     RANK_TOL,
@@ -46,6 +46,11 @@ from .prob_core import (
     entropy,
     mutual_information,
 )
+
+#: The four deterministic binary maps, one row per map, columns indexed by
+#: the input x: identity, flip, constant 0, constant 1.
+BINARY_MAPS = np.array([[0, 1], [1, 0], [0, 0], [1, 1]], dtype=np.int8)
+BINARY_MAPS.flags.writeable = False
 
 #: Default ceiling on the number of enumerated maps (k ** n).
 DEFAULT_MAP_CAP = 4096

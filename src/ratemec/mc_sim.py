@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bernoulli_rate import BINARY_MAPS, MapMixture, RateProblem
+from .bernoulli_rate import MapMixture, RateProblem
 from .bernoulli_rate_class import RateClassProblem
 from .errors import DomainError
+from .generic_oracle import BINARY_MAPS
 from .prob_core import BitsValue, JointPmf, conditional_entropy, mutual_information
 
 #: Draws per chunk of a stream; a stream of at most this many draws
@@ -33,6 +34,10 @@ _CHUNK = 1 << 20
 #: Ceiling on the draws of one run, checked before any draw: 10^9 draws
 #: take about a minute.
 MAX_SAMPLES = 10**9
+
+
+def _as_array(mixture: MapMixture) -> np.ndarray:
+    return np.array([mixture.p1, mixture.p2, mixture.p3, mixture.p4], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,7 @@ class SimReport:
             "q_s1": self.q_s1,
             "rate": self.rate,
             "cclass": self.cclass,
-            "mixture": list(self.mixture.as_array()),
+            "mixture": list(_as_array(self.mixture)),
             "samples": self.samples,
             "seed": self.seed,
             "streams": self.streams,
@@ -135,7 +140,7 @@ def simulate(cfg: SimConfig) -> SimReport:
     cclass = getattr(cfg.problem, "cclass", None)
 
     base, extra = divmod(cfg.samples, cfg.streams)
-    weights = cfg.mixture.as_array()
+    weights = _as_array(cfg.mixture)
 
     counts = np.zeros((4, 2, 2, 2), dtype=np.int64)
     # Only the first min(streams, samples) streams draw anything.

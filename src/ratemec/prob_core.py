@@ -43,6 +43,10 @@ Work bounds (``MAX_BASES``, ``MAX_GRID``, ``MAX_STEPS``,
 ``MAX_SAMPLES``, ``DEFAULT_MAP_CAP``) and the log floor of the grid scan
 are not tolerances and live with their code.
 
+numpy is imported inside the functions that build or reduce arrays, so
+the tolerances and ``binary_entropy``, which are all that the closed
+forms use, load without it.
+
 All operations are pure functions on immutable values and are safe to
 call concurrently.
 """
@@ -51,10 +55,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Entropy and information values are plain floats measured in bits.  A
 # wrapper class would buy nothing here; the alias documents intent in
@@ -72,6 +78,8 @@ _LN2 = math.log(2.0)
 
 
 def _as_prob_array(values, name: str) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise DomainError(f"{name} must be non-empty")
@@ -122,6 +130,8 @@ class JointPmf:
     table: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         arr = np.asarray(self.table, dtype=float)
         if arr.ndim != 2:
             raise DomainError(f"JointPmf table must be 2-D, got shape {arr.shape}")
@@ -156,6 +166,8 @@ def binary_entropy(t: float) -> BitsValue:
 
 def entropy(p: Pmf) -> BitsValue:
     """Shannon entropy of a pmf in bits, with the 0 log 0 = 0 convention."""
+    import numpy as np
+
     m = p.masses
     pos = m[m > 0.0]
     # "+ 0.0" normalizes the IEEE -0.0 that a point mass would produce.
@@ -187,6 +199,8 @@ def conditional_entropy(j: JointPmf, given: str) -> BitsValue:
         groups = j.table.T
     else:
         raise DomainError(f'conditional_entropy axis must be "x" or "y", got {given!r}')
+    import numpy as np
+
     acc = 0.0
     for row in groups:
         mass = float(row.sum())

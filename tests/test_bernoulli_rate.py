@@ -59,7 +59,7 @@ def test_map_mixture_validation():
 def test_map_mixture_clamps_tiny_negative_weight():
     m = MapMixture(0.5, 0.5 + 1e-13, -1e-13, 0.0)
     assert m.p3 == 0.0
-    assert m.as_array().sum() == pytest.approx(1.0, abs=1e-15)
+    assert m.p1 + m.p2 + m.p3 + m.p4 == pytest.approx(1.0, abs=1e-15)
 
 
 def test_map_mixture_induced_marginal():

@@ -3,18 +3,24 @@
 Runs ``cli.main`` in process on a fixed set of ``solve`` and ``sweep``
 invocations and pins the SHA-256 of each one's data rows (every output
 line that does not start with ``#``).  The corpus covers rate-only
-runs, runs with a label budget, a ``cclass`` sweep and q_X = 1/2.
-These paths use only Python's ``math`` and ``np.linspace``, with no
-numpy transcendentals, so the rows do not depend on numpy's build.
+runs, runs with a label budget, a ``cclass`` sweep, q_X = 1/2, a
+subnormal sweep range and a one-point range.  These paths use only
+Python's ``math``, with no numpy at all, so the rows do not depend on
+numpy's build.  The sweep grid is generated in pure Python and matches
+``np.linspace`` bit for bit (``tests/test_cold_start.py``).
 
 The hashes were recorded at commit 22db065, the parent of the change
-that moved every tolerance into ``prob_core``.  A change that alters
-these bytes on purpose must update the hashes here and say so in
-``CHANGES.md``.
+that moved every tolerance into ``prob_core``; the subnormal and
+one-point sweeps at commit e575cea, while the grid was still
+``np.linspace``.  A change that alters these bytes on purpose must
+update the hashes here and say so in ``CHANGES.md``.
 
 ``ERRORS`` pins the exit code and the exact stderr of the usage and
 infeasibility paths of ``solve`` and ``sweep``, recorded at commit
-56fb260, before the CLI's three solver dispatches became one.
+56fb260, before the CLI's three solver dispatches became one.  The
+non-finite ``--from``/``--to`` entries pin the message that rejects
+them before any grid is built; before it, the grid turned them into
+NaN budgets and an error that named neither the flag nor its value.
 """
 
 import hashlib
@@ -76,6 +82,21 @@ CORPUS = {
          *_LABEL, "--rate", "0.7"],
         "4a8e4affc3547cd02396925efeef49117d072ef6b1cb7120586424d67f83aa38",
     ),
+    "sweep-rate-subnormal": (
+        ["sweep", "--var", "rate", "--from", "0", "--to", "1e-323", "--steps", "6",
+         "--qx", "0.2", "--qy", "0.3"],
+        "a04f09132a516f9d57152fca672083df51a7fc319831a8ac21a037afc2f49637",
+    ),
+    "sweep-rate-one-point": (
+        ["sweep", "--var", "rate", "--from", "0.4", "--to", "0.4", "--steps", "5",
+         "--qx", "0.2", "--qy", "0.3"],
+        "d05a3619662aead77b21b72aa43910d826cff004c328f0ed66171e00cc755b64",
+    ),
+    "sweep-cclass-one-point": (
+        ["sweep", "--var", "cclass", "--from", "0.5", "--to", "0.5", "--steps", "4",
+         *_LABEL, "--rate", "0.7"],
+        "8f64e3ec72ff4a5c0e9f6570175fb0a65ff188621b8ba53562bd4ab19444c2e1",
+    ),
 }
 
 
@@ -103,6 +124,19 @@ ERRORS = {
     "sweep-start-after-stop": (
         [*_SWEEP, "--var", "rate", "--from", "1", "--to", "0", "--steps", "3"],
         1, "error: sweep start 1.0 must not exceed stop 0.0\n",
+    ),
+    "sweep-to-inf": (
+        [*_SWEEP, "--var", "rate", "--from", "0", "--to", "inf", "--steps", "3"],
+        1, "error: --to must be finite, got inf\n",
+    ),
+    "sweep-from-inf": (
+        [*_SWEEP, "--var", "rate", "--from", "inf", "--to", "inf", "--steps", "3"],
+        1, "error: --from must be finite, got inf\n",
+    ),
+    "sweep-cclass-from-nan": (
+        [*_SWEEP, "--var", "cclass", "--from", "nan", "--to", "1", "--steps", "3",
+         "--rate", "0.5", "--qs1", "0.1"],
+        1, "error: --from must be finite, got nan\n",
     ),
     "sweep-rate-flag-and-var-rate": (
         [*_SWEEP, "--var", "rate", *_UNIT, "--steps", "3", "--rate", "0.5"],
