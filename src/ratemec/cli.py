@@ -232,6 +232,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         value = getattr(args, name)
         if not math.isfinite(value):
             raise DomainError(f"--{_FLAG_NAMES[name]} must be finite, got {value!r}")
+    # Both budgets are >= 0, so a negative --from names no valid point;
+    # rejecting it also keeps stop - start from overflowing to inf.
+    if args.start < 0.0:
+        raise DomainError(f"--from must be >= 0, got {args.start!r}")
     if not (args.start <= args.stop):
         raise DomainError(f"sweep start {args.start!r} must not exceed stop {args.stop!r}")
     if args.steps < 2:

@@ -3,16 +3,19 @@
 Draws (U, X) pairs, applies the deterministic binary maps to produce Y,
 flips X with a noisy label channel to produce S, and estimates every
 quantity the analytic solvers promise: the Y marginal, I(X;Y), the rate
-row H(Y|U), and both label entropies H(S|Y) and H(S|Y,U).  Because Y is
-a deterministic function of (X, U), the empirical H(Y | X, U) is exactly
-zero whenever the estimate is computed from the same counts, which makes
-it a sharp self-check on the sampling pipeline.
+row H(Y|U), and both label entropies H(S|Y) and H(S|Y,U).  The sampler
+counts the 16 (U, X, S1) cells of the draws and places each count at
+Y = map_U(X) and S = X xor S1 in the (U, X, Y, S) table.  Because Y is a
+deterministic function of (X, U), the empirical H(Y | X, U) is exactly
+zero when that placement is right, which makes it a sharp self-check on
+where the counts land; the draws themselves are those of the per-draw
+pipeline this sampler replaced, bit for bit.
 
 Streams use numpy's PCG64 generator seeded through SeedSequence, so a
 report is reproducible bit for bit from (seed, samples, streams).
 Entropy estimates are plug-in (maximum likelihood) without bias
-correction; with at most 32 cells the bias is far below the sampling
-noise at the scales these runs target.
+correction; with at most 16 non-empty cells the bias is far below the
+sampling noise at the scales these runs target.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .prob_core import BitsValue, JointPmf, conditional_entropy, mutual_informat
 _CHUNK = 1 << 20
 
 #: Ceiling on the draws of one run, checked before any draw: 10^9 draws
-#: take about a minute.
+#: take about 9 s (8.8 s measured on 2 shared vCPUs).
 MAX_SAMPLES = 10**9
 
 
@@ -124,25 +127,26 @@ class SimReport:
         }
 
 
-def simulate(cfg: SimConfig) -> SimReport:
-    """Run the sampling pipeline and estimate every tracked entropy.
+def _draw_counts(cfg: SimConfig, q_x: float, q_s1: float) -> np.ndarray:
+    """The (U, X, Y, S) counts table of ``cfg``'s draws.
 
-    Each stream draws in chunks of at most ``_CHUNK`` draws, so memory
-    stays bounded for any ``samples``; :class:`SimConfig` caps
-    ``samples`` at ``MAX_SAMPLES``, which bounds the time.  Draw order
-    per chunk is fixed (U first, then X, then the label flip) so that a
-    given (seed, samples, streams) triple always yields the same counts
-    table.
+    Each stream draws in chunks of at most ``_CHUNK`` draws, in a fixed
+    order per chunk: U, then X, then the label flip S1, one
+    ``rng.random(k)`` each, so a (seed, samples, streams) triple always
+    yields the same table.  U is what ``rng.choice(4, p=weights)`` would
+    draw from the same generator: ``choice`` draws ``rng.random(k)`` and
+    counts the cdf entries <= each draw, and cdf[3] is exactly 1.  A
+    chunk reduces to one uint8 code (u << 2) | (x << 1) | s1 per draw;
+    the 16 code counts are placed in the table once per call.
     """
-    q_x = cfg.problem.q_x
-    q_y = cfg.problem.q_y
-    q_s1 = getattr(cfg.problem, "q_s1", 0.5)
-    cclass = getattr(cfg.problem, "cclass", None)
-
     base, extra = divmod(cfg.samples, cfg.streams)
-    weights = _as_array(cfg.mixture)
-
-    counts = np.zeros((4, 2, 2, 2), dtype=np.int64)
+    cdf = _as_array(cfg.mixture).cumsum()
+    cdf /= cdf[-1]
+    # Every chunk reuses these two buffers, sized for the longest chunk.
+    width = min(_CHUNK, base + (1 if extra else 0))
+    draws = np.empty(width)
+    codes = np.empty(width, dtype=np.uint8)
+    code_counts = np.zeros(16, dtype=np.int64)
     # Only the first min(streams, samples) streams draw anything.
     for i in range(min(cfg.streams, cfg.samples)):
         size = base + (1 if i < extra else 0)
@@ -151,13 +155,39 @@ def simulate(cfg: SimConfig) -> SimReport:
         rng = np.random.Generator(np.random.PCG64(seq))
         for start in range(0, size, _CHUNK):
             k = min(_CHUNK, size - start)
-            u = rng.choice(4, size=k, p=weights)
-            x = (rng.random(k) < q_x).astype(np.int64)
-            s1 = (rng.random(k) < q_s1).astype(np.int64)
-            y = BINARY_MAPS[u, x].astype(np.int64)
-            s = x ^ s1
-            idx = ((u * 2 + x) * 2 + y) * 2 + s
-            counts += np.bincount(idx, minlength=32).reshape(4, 2, 2, 2)
+            r, code = draws[:k], codes[:k]
+            rng.random(out=r)
+            np.greater_equal(r, cdf[0], out=code)
+            code += r >= cdf[1]
+            code += r >= cdf[2]
+            rng.random(out=r)
+            code <<= 1
+            code |= r < q_x
+            rng.random(out=r)
+            code <<= 1
+            code |= r < q_s1
+            code_counts += np.bincount(code, minlength=16)
+
+    # Y is BINARY_MAPS[u, x] and S is X xor S1: one table cell per code.
+    u, x, s1 = np.indices((4, 2, 2)).reshape(3, 16)
+    counts = np.zeros((4, 2, 2, 2), dtype=np.int64)
+    counts[u, x, BINARY_MAPS[u, x], x ^ s1] = code_counts
+    return counts
+
+
+def simulate(cfg: SimConfig) -> SimReport:
+    """Run the sampling pipeline and estimate every tracked entropy.
+
+    :class:`SimConfig` caps ``samples`` at ``MAX_SAMPLES``, which bounds
+    the time; the draws go in chunks of at most ``_CHUNK``, which bounds
+    the memory.
+    """
+    q_x = cfg.problem.q_x
+    q_y = cfg.problem.q_y
+    q_s1 = getattr(cfg.problem, "q_s1", 0.5)
+    cclass = getattr(cfg.problem, "cclass", None)
+
+    counts = _draw_counts(cfg, q_x, q_s1)
 
     n = float(cfg.samples)
     cells = counts / n

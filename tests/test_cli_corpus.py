@@ -18,9 +18,11 @@ update the hashes here and say so in ``CHANGES.md``.
 ``ERRORS`` pins the exit code and the exact stderr of the usage and
 infeasibility paths of ``solve`` and ``sweep``, recorded at commit
 56fb260, before the CLI's three solver dispatches became one.  The
-non-finite ``--from``/``--to`` entries pin the message that rejects
-them before any grid is built; before it, the grid turned them into
-NaN budgets and an error that named neither the flag nor its value.
+non-finite ``--from``/``--to`` entries and the negative ``--from``
+entries pin the messages that reject them before any grid is built;
+before them, the grid turned them (or a span that overflows to inf)
+into NaN budgets and an error that named neither the flag nor its
+value.
 """
 
 import hashlib
@@ -137,6 +139,15 @@ ERRORS = {
         [*_SWEEP, "--var", "cclass", "--from", "nan", "--to", "1", "--steps", "3",
          "--rate", "0.5", "--qs1", "0.1"],
         1, "error: --from must be finite, got nan\n",
+    ),
+    "sweep-rate-span-overflows": (
+        [*_SWEEP, "--var", "rate", "--from=-1e308", "--to", "1e308", "--steps", "3"],
+        1, "error: --from must be >= 0, got -1e+308\n",
+    ),
+    "sweep-cclass-span-overflows": (
+        [*_SWEEP, "--var", "cclass", "--from=-1e308", "--to", "1e308", "--steps", "3",
+         "--rate", "0.5", "--qs1", "0.1"],
+        1, "error: --from must be >= 0, got -1e+308\n",
     ),
     "sweep-rate-flag-and-var-rate": (
         [*_SWEEP, "--var", "rate", *_UNIT, "--steps", "3", "--rate", "0.5"],

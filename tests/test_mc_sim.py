@@ -39,7 +39,7 @@ class TestSimConfig:
             _rate_cfg(samples=0)
 
     def test_rejects_samples_over_the_bound_before_drawing(self):
-        # Checked in the config: 10**10 draws would take about 9 minutes.
+        # Checked in the config: 10**10 draws would take about 90 s.
         bound = mc_sim.MAX_SAMPLES
         assert _rate_cfg(samples=bound).samples == bound
         with pytest.raises(DomainError, match=str(bound)):
