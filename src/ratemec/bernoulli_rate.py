@@ -40,6 +40,7 @@ the two-extreme maximum is exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -105,6 +106,15 @@ class MapMixture:
     p4: float
 
     def __post_init__(self) -> None:
+        w = (float(self.p1), float(self.p2), float(self.p3), float(self.p4))
+        total = sum(w)
+        # In range the clamp below changes nothing, so this is its result
+        # (a NaN fails the total test); any other input takes the checks.
+        if min(w) >= 0.0 and abs(total - 1.0) <= ROUND_TOL:
+            vars(self).update(
+                p1=w[0] / total, p2=w[1] / total, p3=w[2] / total, p4=w[3] / total
+            )
+            return
         raw = []
         for i, v in enumerate((self.p1, self.p2, self.p3, self.p4)):
             v = float(v)
@@ -160,6 +170,13 @@ class SolverResult:
     weights: np.ndarray | None = None
 
 
+@functools.lru_cache(maxsize=128)
+def _marginal_entropy(q: float) -> float:
+    """H_b of a problem marginal, cached: a sweep solves one instance at
+    every grid point, and only its budget changes from point to point."""
+    return binary_entropy(q)
+
+
 def _objective_value(q_x: float, q_y: float, d: float) -> float:
     """I(X;Y) in bits for a mixture with p1 - p2 = d and matched marginal."""
     if d == 0.0:
@@ -167,7 +184,7 @@ def _objective_value(q_x: float, q_y: float, d: float) -> float:
     lo = q_y - q_x * d
     hi = q_y + (1.0 - q_x) * d
     return (
-        binary_entropy(q_y)
+        _marginal_entropy(q_y)
         - (1.0 - q_x) * binary_entropy(lo)
         - q_x * binary_entropy(hi)
     )
@@ -235,7 +252,7 @@ def solve_mecbr(p: RateProblem) -> SolverResult:
         reflected = "y"
         q_y = 1.0 - q_y
 
-    rate_cap = p.rate / binary_entropy(q_x)
+    rate_cap = p.rate / _marginal_entropy(q_x)
     marginal_cap = min(q_y / q_x, 1.0)
     value, weights, step = _step_interval(q_x, q_y, 0.0, min(rate_cap, marginal_cap))
     # The rate row binds unless the winner's marginal rows stop it first.

@@ -35,10 +35,11 @@ the aligned side (PartI).  Consequences:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .bernoulli_rate import MapMixture, SolverResult, _step_interval
+from .bernoulli_rate import MapMixture, SolverResult, _marginal_entropy, _step_interval
 from .errors import DomainError, InfeasibleError
 from .prob_core import ROUND_TOL, WEIGHT_TOL, BitsValue, binary_entropy
 
@@ -89,12 +90,19 @@ def label_params(p: RateClassProblem) -> DerivedLabelParams:
     Guarantees H_b(m) >= H_b(q_S1) - ``ROUND_TOL``: writing
     m - 1/2 = (q_X - 1/2)(2 q_S1 - 1) shows |m - 1/2| <= |q_S1 - 1/2|,
     and H_b decreases in the distance from 1/2.  Equality needs
-    q_S1 = 1/2 (q_X in {0, 1} is outside the domain).
+    q_S1 = 1/2 (q_X in {0, 1} is outside the domain).  The terms depend
+    on (q_X, q_S1) alone and are cached by that pair, so every point of a
+    sweep shares one immutable result.
     """
-    q_s = p.q_x + p.q_s1 - 2.0 * p.q_x * p.q_s1
-    m = (1.0 - p.q_x) * (1.0 - p.q_s1) + p.q_x * p.q_s1
+    return _label_terms(p.q_x, p.q_s1)
+
+
+@functools.lru_cache(maxsize=64)
+def _label_terms(q_x: float, q_s1: float) -> DerivedLabelParams:
+    q_s = q_x + q_s1 - 2.0 * q_x * q_s1
+    m = (1.0 - q_x) * (1.0 - q_s1) + q_x * q_s1
     h_b_m = binary_entropy(m)
-    h_b_qs1 = binary_entropy(p.q_s1)
+    h_b_qs1 = binary_entropy(q_s1)
     if h_b_m < h_b_qs1 - ROUND_TOL:
         raise DomainError(
             f"entropy ordering violated: H_b(m)={h_b_m!r} < H_b(q_S1)={h_b_qs1!r}"
@@ -153,7 +161,7 @@ def _slacks_for(
         label_slack = p.cclass - (s * lp.h_b_qs1 + (mixture.p3 + mixture.p4) * lp.h_b_m)
     else:
         label_slack = s - floor
-    return p.rate - binary_entropy(p.q_x) * s, label_slack
+    return p.rate - _marginal_entropy(p.q_x) * s, label_slack
 
 
 def solve_mecbrc(p: RateClassProblem) -> SolverResult:
@@ -178,7 +186,7 @@ def solve_mecbrc(p: RateClassProblem) -> SolverResult:
             f"classification budget C={p.cclass!r} is below "
             f"H_b(q_S1)={lp.h_b_qs1!r}; no coupling can satisfy it"
         )
-    rate_cap = p.rate / binary_entropy(p.q_x)
+    rate_cap = p.rate / _marginal_entropy(p.q_x)
     marginal_cap = min(p.q_y / p.q_x, 1.0)
     hi = min(rate_cap, marginal_cap)
     lo = 0.0 if floor is None else max(floor, 0.0)

@@ -1,11 +1,16 @@
 """Command-line front end: solve, sweep, oracle, simulate.
 
-Every subcommand takes one path from flags to answers: ``_problem``
-builds a ``RateProblem``, or a ``RateClassProblem`` when ``--qs1`` is
-given, and ``_solve`` hands it to ``solve_mecbr`` or ``solve_mecbrc``
-by its type.  A curve row is a plain tuple in ``SCHEMA`` order.
-``solve`` and ``sweep`` load no numpy; ``oracle`` and ``simulate``
-import the oracle and the sampler, and with them numpy, when they run.
+Every subcommand takes one path from flags to answers: ``--qx``,
+``--qy`` and ``--qs1`` are checked against (0, 0.5] once per run,
+``_problem`` builds a ``RateProblem``, or a ``RateClassProblem`` when
+``--qs1`` is given, and ``_solve`` hands it to ``solve_mecbr`` or
+``solve_mecbrc`` by its type.  A sweep still solves every grid point
+that way.  A curve row is a plain tuple in ``SCHEMA`` order for JSON;
+for CSV, ``solve`` and ``sweep`` render it with one formatter,
+``_csv_row``, and a sweep renders the four cells that stay fixed once
+per run.  ``solve`` and ``sweep`` load no numpy; ``oracle`` and
+``simulate`` import the oracle and the sampler, and with them numpy,
+when they run.
 
 Output discipline: data rows are a pure function of the flags (floats
 rendered with repr, so identical invocations produce byte-identical
@@ -130,6 +135,15 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
         raise DomainError("missing required flags: " + ", ".join(missing))
 
 
+def _check_marginals(args: argparse.Namespace) -> None:
+    """The marginal flags lie in (0, 0.5], the domain every subcommand
+    solves on; checked once per run, before any problem is built."""
+    for name in ("qx", "qy", "qs1"):
+        value = getattr(args, name)
+        if value is not None and not 0.0 < value <= 0.5:
+            raise DomainError(f"--{name} must lie in (0, 0.5], got {value!r}")
+
+
 def _check_label_pair(args: argparse.Namespace) -> None:
     if (args.qs1 is None) != (args.cclass is None):
         raise DomainError("--qs1 and --cclass must be given together")
@@ -184,13 +198,27 @@ def _row(
     return head + (result.value, *weights, result.case_label, result.alpha)
 
 
-def _emit_rows(rows: list[tuple], args: argparse.Namespace) -> None:
-    if (args.format or "csv") == "json":
+def _csv_row(lead: str, result: SolverResult | None) -> str:
+    """``_row`` rendered as one CSV line, its five problem cells given
+    already rendered as ``lead``; no result gives the Infeasible row."""
+    if result is None:
+        return lead + ",,,,,,Infeasible,"
+    m = result.mixture
+    weights = ",,," if m is None else f"{m.p1!r},{m.p2!r},{m.p3!r},{m.p4!r}"
+    return f"{lead},{result.value!r},{weights},{result.case_label},{_fmt(result.alpha)}"
+
+
+def _as_json(args: argparse.Namespace) -> bool:
+    return (args.format or "csv") == "json"
+
+
+def _emit_rows(rows: list, args: argparse.Namespace) -> None:
+    """Emit curve rows: ``_row`` tuples for JSON, ``_csv_row`` lines for CSV."""
+    if _as_json(args):
         payload = [dict(zip(SCHEMA.split(","), row)) for row in rows]
         text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
     else:
-        lines = [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(_meta_lines(args) + [SCHEMA] + lines)
+        text = "\n".join(_meta_lines(args) + [SCHEMA] + rows)
     _emit(text, args)
 
 
@@ -213,7 +241,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _require(args, ["qx", "qy", "rate"])
     _check_label_pair(args)
     result = _solve(_problem(args, args.rate, args.cclass))
-    _emit_rows([_row(args, args.rate, args.cclass, result)], args)
+    if _as_json(args):
+        row = _row(args, args.rate, args.cclass, result)
+    else:
+        cells = (args.qx, args.qy, args.qs1, args.rate, args.cclass)
+        row = _csv_row(",".join(_fmt(v) for v in cells), result)
+    _emit_rows([row], args)
     return 0
 
 
@@ -243,23 +276,32 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.steps > MAX_STEPS:
         raise DomainError(f"sweep allows at most {MAX_STEPS} steps, got {args.steps!r}")
 
-    rows: list[tuple] = []
+    # Only the swept budget's cell changes from row to row, so the other
+    # four are rendered once, as the text before and after it.
+    as_json = _as_json(args)
+    cells = [_fmt(v) for v in (args.qx, args.qy, args.qs1, args.rate, args.cclass)]
+    at = 3 if by_rate else 4
+    before = ",".join(cells[:at]) + ","
+    after = "".join("," + c for c in cells[at + 1:])
+    rows = []
     prev_value = -math.inf
     for v in _grid(args.start, args.stop, args.steps):
         rate, cclass = (v, args.cclass) if by_rate else (args.rate, v)
         try:
             result = _solve(_problem(args, rate, cclass))
         except InfeasibleError:
-            rows.append(_row(args, rate, cclass))
-            continue
-        if by_rate:
+            result = None
+        if by_rate and result is not None:
             if result.value < prev_value - ROUND_TOL:
                 raise MonotonicityError(
                     f"value decreased from {prev_value!r} to {result.value!r} "
                     f"at rate={rate!r}; the curve must be nondecreasing in the rate budget"
                 )
             prev_value = result.value
-        rows.append(_row(args, rate, cclass, result))
+        if as_json:
+            rows.append(_row(args, rate, cclass, result))
+        else:
+            rows.append(_csv_row(f"{before}{v!r}{after}", result))
     _emit_rows(rows, args)
     return 0
 
@@ -387,8 +429,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--qx", type=float, default=None, help="source marginal P(X=1)")
-    p.add_argument("--qy", type=float, default=None, help="target marginal P(Y=1)")
+    p.add_argument("--qx", type=float, default=None, help="source marginal P(X=1) in (0, 0.5]")
+    p.add_argument("--qy", type=float, default=None, help="target marginal P(Y=1) in (0, 0.5]")
     p.add_argument("--qs1", type=float, default=None,
                    help="label flip rate in (0, 0.5]; requires --cclass")
     p.add_argument("--rate", type=float, default=None, help="rate budget in bits")
@@ -462,6 +504,7 @@ def main(argv: list[str] | None = None) -> int:
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_flags(parser, args) + argv[at:])
         args.argv_echo = argv
+        _check_marginals(args)
         return _HANDLERS[args.command](args)
     except _UsageExit:
         return 1

@@ -48,7 +48,12 @@ the tolerances and ``binary_entropy``, which are all that the closed
 forms use, load without it.
 
 All operations are pure functions on immutable values and are safe to
-call concurrently.
+call concurrently.  So are the closed forms built on them: the only
+state they keep is two bounded ``functools.lru_cache`` tables of
+per-instance constants (H_b of a marginal in ``bernoulli_rate``, the
+label row's terms keyed by (q_X, q_S1) in ``bernoulli_rate_class``).
+The caches are thread-safe, hold floats and frozen values only, and
+give the same bits as a fresh call.
 """
 
 from __future__ import annotations

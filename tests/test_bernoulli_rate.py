@@ -62,6 +62,42 @@ def test_map_mixture_clamps_tiny_negative_weight():
     assert m.p1 + m.p2 + m.p3 + m.p4 == pytest.approx(1.0, abs=1e-15)
 
 
+def _clamped(weights):
+    """The clamp-and-renormalize path every mixture took before the
+    in-range shortcut: float, clamp at 0, divide by the clamped sum."""
+    cleaned = [max(float(v), 0.0) for v in weights]
+    total = sum(cleaned)
+    return [repr(v / total) for v in cleaned]
+
+
+def test_map_mixture_shortcut_equals_the_clamp_bit_for_bit():
+    rng = np.random.default_rng(5)
+    cases = [(1, 0, 0, 0), (0.25, 0.25, 0.25, 0.25), (-0.0, 0.5, 0.5, 0.0),
+             (np.float64(0.1), 0.2, 0.3, 0.4), (0.5, 0.5 + 1e-13, -1e-13, 0.0)]
+    for _ in range(2000):
+        w = rng.dirichlet(np.ones(4))
+        w[rng.random(4) < 0.2] = 0.0
+        w[2] += w.sum() == 0.0
+        w *= (1.0 + rng.uniform(-9e-13, 9e-13)) / w.sum()
+        cases.append(tuple(float(v) for v in w))
+    for weights in cases:
+        if abs(sum(float(v) for v in weights) - 1.0) > 1e-12:
+            continue
+        m = MapMixture(*weights)
+        assert [repr(m.p1), repr(m.p2), repr(m.p3), repr(m.p4)] == _clamped(weights)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ((float("nan"), 0.5, 0.25, 0.25), "p1 is not finite: nan"),
+    ((0.5, float("inf"), 0.0, 0.0), "p2 is not finite: inf"),
+    ((0.5, 0.5, 0.5, -0.5), "p4=-0.5 negative beyond tolerance"),
+    ((0.3, 0.3, 0.3, 0.3), "sum to 1.2, off from 1"),
+])
+def test_map_mixture_out_of_range_keeps_its_messages(weights, message):
+    with pytest.raises(DomainError, match=message):
+        MapMixture(*weights)
+
+
 def test_map_mixture_induced_marginal():
     # P(Y=1) = p1 q_x + p2 (1 - q_x) + p4.
     m = MapMixture(0.4, 0.1, 0.3, 0.2)

@@ -237,6 +237,25 @@ class TestSweep:
         assert "monotonicity violation" in captured.err
         assert "nondecreasing" in captured.err
 
+    def test_label_sweep_monotonicity_violation_exits_3(self, monkeypatch, capsys):
+        # The first row renders a result without a mixture before the
+        # second one falls.
+        def fake_solver(problem):
+            return SolverResult(
+                value=1.0 - problem.rate, mixture=None, case_label="PartI-Case1"
+            )
+
+        monkeypatch.setattr(cli, "solve_mecbrc", fake_solver)
+        code = cli.main([
+            "sweep", "--var", "rate", "--from", "0.1", "--to", "0.5",
+            "--steps", "3", "--qx", "0.2", "--qy", "0.3",
+            "--qs1", "0.1", "--cclass", "0.6",
+        ])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "monotonicity violation" in captured.err
+        assert "nondecreasing" in captured.err
+
 
 class TestOracle:
     def test_agreement_exits_0_with_diff_under_tolerance(self):

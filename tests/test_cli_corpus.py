@@ -3,17 +3,23 @@
 Runs ``cli.main`` in process on a fixed set of ``solve`` and ``sweep``
 invocations and pins the SHA-256 of each one's data rows (every output
 line that does not start with ``#``).  The corpus covers rate-only
-runs, runs with a label budget, a ``cclass`` sweep, q_X = 1/2, a
-subnormal sweep range and a one-point range.  These paths use only
-Python's ``math``, with no numpy at all, so the rows do not depend on
-numpy's build.  The sweep grid is generated in pure Python and matches
+runs, runs with a label budget, ``cclass`` sweeps in CSV and JSON,
+q_X = 1/2, q_Y = 1/2, q_S1 = 1/2, an infeasible prefix, a subnormal
+sweep range and a one-point range.  These paths use only Python's
+``math``, with no numpy at all, so the rows do not depend on numpy's
+build.  The sweep grid is generated in pure Python and matches
 ``np.linspace`` bit for bit (``tests/test_cold_start.py``).
 
 The hashes were recorded at commit 22db065, the parent of the change
 that moved every tolerance into ``prob_core``; the subnormal and
 one-point sweeps at commit e575cea, while the grid was still
-``np.linspace``.  A change that alters these bytes on purpose must
-update the hashes here and say so in ``CHANGES.md``.
+``np.linspace``; the JSON ``cclass`` sweep, the label sweeps at
+q_S1 = 1/2 (a constant label row, no floor) and with an ``Infeasible``
+first share of the grid, and the rate sweep at q_Y = 1/2 at commit
+16a671c, before sweep rows took per-instance constants from caches and
+rendered the fixed cells once per sweep.  A change that alters these
+bytes on purpose must update the hashes here and say so in
+``CHANGES.md``.
 
 ``ERRORS`` pins the exit code and the exact stderr of the usage and
 infeasibility paths of ``solve`` and ``sweep``, recorded at commit
@@ -22,7 +28,10 @@ non-finite ``--from``/``--to`` entries and the negative ``--from``
 entries pin the messages that reject them before any grid is built;
 before them, the grid turned them (or a span that overflows to inf)
 into NaN budgets and an error that named neither the flag nor its
-value.
+value.  The marginal-flag entries pin the one check that rejects
+``--qx``/``--qy``/``--qs1`` outside (0, 0.5] for every subcommand;
+before it, ``--qx 0.6`` told the user to construct the problem with
+``extend=True``, and a label problem named ``q_x`` rather than the flag.
 """
 
 import hashlib
@@ -98,6 +107,25 @@ CORPUS = {
         ["sweep", "--var", "cclass", "--from", "0.5", "--to", "0.5", "--steps", "4",
          *_LABEL, "--rate", "0.7"],
         "8f64e3ec72ff4a5c0e9f6570175fb0a65ff188621b8ba53562bd4ab19444c2e1",
+    ),
+    "sweep-cclass-json": (
+        ["sweep", "--var", "cclass", "--from", "0", "--to", "1", "--steps", "201",
+         *_LABEL, "--rate", "0.7", "--format", "json"],
+        "aa7844a1cebd1c1679fc4dd9937d1965f9a0ce03e37f163c06e953138480593c",
+    ),
+    "sweep-rate-label-half-qs1": (
+        ["sweep", *_RATE, "--steps", "1001", "--qx", "0.3", "--qy", "0.4",
+         "--qs1", "0.5", "--cclass", "1"],
+        "767bffdb26231a2b8adc56b23accdf72a1ff112649b54937233f3f68a747f193",
+    ),
+    "sweep-rate-label-infeasible-prefix": (
+        ["sweep", "--var", "rate", "--from", "0", "--to", "1", "--steps", "801",
+         "--qx", "0.15", "--qy", "0.35", "--qs1", "0.1", "--cclass", "0.55"],
+        "c544ed85c95b0b0f5bba878dfec2cd90c102a8f118716101f895038a8c510509",
+    ),
+    "sweep-rate-half-target": (
+        ["sweep", *_RATE, "--steps", "2001", "--qx", "0.3", "--qy", "0.5"],
+        "fbc8b7459f7c547850b8f0136f18da2859668c55e73caa59cb86118aeae36ad1",
     ),
 }
 
@@ -182,6 +210,24 @@ ERRORS = {
         2, "infeasible: budgets are jointly unsatisfiable: the label row requires "
            "informative weight p1 + p2 >= 0.6036334563442076 but the rate budget "
            "allows at most R / H_b(q_X) = 0.11346991111254326\n",
+    ),
+    "solve-qx-above-half": (
+        ["solve", "--qx", "0.6", "--qy", "0.3", "--rate", "0.5"],
+        1, "error: --qx must lie in (0, 0.5], got 0.6\n",
+    ),
+    "sweep-qy-above-half": (
+        [*_SWEEP[:3], "--qy", "0.7", "--var", "rate", *_UNIT, "--steps", "3"],
+        1, "error: --qy must lie in (0, 0.5], got 0.7\n",
+    ),
+    "sweep-cclass-label-qx-above-half": (
+        ["sweep", "--qx", "0.6", "--qy", "0.3", "--var", "cclass", *_UNIT,
+         "--steps", "3", "--rate", "0.5", "--qs1", "0.1"],
+        1, "error: --qx must lie in (0, 0.5], got 0.6\n",
+    ),
+    "solve-qs1-nan": (
+        ["solve", "--qx", "0.2", "--qy", "0.3", "--rate", "0.5", "--qs1", "nan",
+         "--cclass", "0.9"],
+        1, "error: --qs1 must lie in (0, 0.5], got nan\n",
     ),
 }
 
