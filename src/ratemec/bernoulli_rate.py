@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .prob_core import ROUND_TOL, BitsValue, JointPmf, binary_entropy
+from .prob_core import ROUND_TOL, BitsValue, JointPmf, binary_entropy, check_real, check_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,20 +54,6 @@ if TYPE_CHECKING:
 #: Case labels reported by the rate solver.
 CASE_RATE_BOUND = "RateBound"
 CASE_MARGINAL_BOUND = "MarginalBound"
-
-
-def _check_marginal(q: float, name: str, extend: bool) -> None:
-    if not math.isfinite(q):
-        raise DomainError(f"{name} must be finite, got {q!r}")
-    if q <= 0.0 or q >= 1.0:
-        raise DomainError(
-            f"{name}={q!r} outside (0, 1); degenerate marginals carry no information"
-        )
-    if q > 0.5 and not extend:
-        raise DomainError(
-            f"{name}={q!r} is above 1/2; construct the problem with extend=True "
-            "to solve the reflected instance via H_b(q) = H_b(1 - q)"
-        )
 
 
 @dataclass(frozen=True)
@@ -85,10 +71,12 @@ class RateProblem:
     extend: bool = False
 
     def __post_init__(self) -> None:
-        _check_marginal(self.q_x, "q_x", self.extend)
-        _check_marginal(self.q_y, "q_y", self.extend)
-        if not math.isfinite(self.rate) or self.rate < 0.0:
-            raise DomainError(f"rate must be finite and >= 0, got {self.rate!r}")
+        if self.extend is not False:  # the default needs no call
+            check_type(self.extend, "extend", bool)
+        marginals = "(0, 1)" if self.extend else "(0, 0.5]"
+        check_real(self.q_x, "q_x", marginals)
+        check_real(self.q_y, "q_y", marginals)
+        check_real(self.rate, "rate", "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -106,34 +94,30 @@ class MapMixture:
     p4: float
 
     def __post_init__(self) -> None:
-        w = (float(self.p1), float(self.p2), float(self.p3), float(self.p4))
-        total = sum(w)
-        # In range the clamp below changes nothing, so this is its result
-        # (a NaN fails the total test); any other input takes the checks.
-        if min(w) >= 0.0 and abs(total - 1.0) <= ROUND_TOL:
-            vars(self).update(
-                p1=w[0] / total, p2=w[1] / total, p3=w[2] / total, p4=w[3] / total
-            )
-            return
-        raw = []
-        for i, v in enumerate((self.p1, self.p2, self.p3, self.p4)):
-            v = float(v)
-            if not math.isfinite(v):
-                raise DomainError(f"mixture component p{i + 1} is not finite: {v!r}")
-            if v < -ROUND_TOL:
+        w = (self.p1, self.p2, self.p3, self.p4)
+        # Four floats in range skip the checks: the clamp would change
+        # nothing (a NaN fails the total test).  Any other input, numpy
+        # scalars included, is checked, clamped and converted to float.
+        if not (
+            type(w[0]) is float is type(w[1]) is type(w[2]) is type(w[3])
+            and min(w) >= 0.0 and abs((total := sum(w)) - 1.0) <= ROUND_TOL
+        ):
+            raw = []
+            for i, v in enumerate(w):
+                name = f"mixture component p{i + 1}"
+                if isinstance(v, float) and not -math.inf < v < math.inf:
+                    raise DomainError(f"{name} is not finite: {float(v)!r}")
+                check_real(v, name, "(-inf, inf)")
+                if v < -ROUND_TOL:
+                    raise DomainError(f"{name}={float(v)!r} negative beyond tolerance {ROUND_TOL}")
+                raw.append(float(v))
+            if abs(sum(raw) - 1.0) > ROUND_TOL:
                 raise DomainError(
-                    f"mixture component p{i + 1}={v!r} negative beyond tolerance {ROUND_TOL}"
+                    f"mixture components sum to {sum(raw)!r}, off from 1 beyond {ROUND_TOL}"
                 )
-            raw.append(v)
-        raw_total = sum(raw)
-        if abs(raw_total - 1.0) > ROUND_TOL:
-            raise DomainError(
-                f"mixture components sum to {raw_total!r}, off from 1 beyond {ROUND_TOL}"
-            )
-        cleaned = [max(v, 0.0) for v in raw]
-        total = sum(cleaned)
-        for name, v in zip(("p1", "p2", "p3", "p4"), cleaned):
-            object.__setattr__(self, name, v / total)
+            w = [max(v, 0.0) for v in raw]
+            total = sum(w)
+        vars(self).update(p1=w[0] / total, p2=w[1] / total, p3=w[2] / total, p4=w[3] / total)
 
     def induced_qy(self, q_x: float) -> float:
         """P(Y = 1) when X ~ Bern(q_x) passes through this mixture."""
@@ -147,9 +131,6 @@ class MapMixture:
             [(1.0 - q_x) * (1.0 - y1_given_x0), (1.0 - q_x) * y1_given_x0],
             [q_x * (1.0 - y1_given_x1), q_x * y1_given_x1],
         ])
-
-    def marginal_residual(self, q_x: float, q_y: float) -> float:
-        return self.induced_qy(q_x) - q_y
 
 
 @dataclass(frozen=True)
@@ -240,17 +221,10 @@ def solve_mecbr(p: RateProblem) -> SolverResult:
     and the step size itself as ``alpha``.  The value is 0 exactly at
     R = 0 and nondecreasing in R.
     """
-    q_x, q_y = p.q_x, p.q_y
-    reflected = None
-    if q_x > 0.5 and q_y > 0.5:
-        reflected = "xy"
-        q_x, q_y = 1.0 - q_x, 1.0 - q_y
-    elif q_x > 0.5:
-        reflected = "x"
-        q_x = 1.0 - q_x
-    elif q_y > 0.5:
-        reflected = "y"
-        q_y = 1.0 - q_y
+    check_type(p, "p", RateProblem)
+    flip_x, flip_y = p.q_x > 0.5, p.q_y > 0.5
+    q_x = 1.0 - p.q_x if flip_x else p.q_x
+    q_y = 1.0 - p.q_y if flip_y else p.q_y
 
     rate_cap = p.rate / _marginal_entropy(q_x)
     marginal_cap = min(q_y / q_x, 1.0)
@@ -260,19 +234,17 @@ def solve_mecbr(p: RateProblem) -> SolverResult:
     label = CASE_RATE_BOUND if rate_cap < min(marginal_cap, kink) else CASE_MARGINAL_BOUND
 
     w1, w2, w3, w4 = weights
-    if reflected == "x":
+    if flip_x:
         # Relabeled X = 1 - X: identity and flip trade places.
         w1, w2 = w2, w1
-    elif reflected == "y":
+    if flip_y:
         # Relabeled Y = 1 - Y: flip both the bijective and the constant pair.
         w1, w2, w3, w4 = w2, w1, w4, w3
-    elif reflected == "xy":
-        w3, w4 = w4, w3
 
     return SolverResult(
         value=value,
         mixture=MapMixture(w1, w2, w3, w4),
         case_label=label,
         alpha=abs(step),
-        reflected=reflected,
+        reflected=("x" if flip_x else "") + ("y" if flip_y else "") or None,
     )

@@ -36,17 +36,11 @@ the aligned side (PartI).  Consequences:
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 from .bernoulli_rate import MapMixture, SolverResult, _marginal_entropy, _step_interval
 from .errors import DomainError, InfeasibleError
-from .prob_core import ROUND_TOL, WEIGHT_TOL, BitsValue, binary_entropy
-
-
-def _check_interval(value: float, name: str, upper: float = 0.5) -> None:
-    if not math.isfinite(value) or value <= 0.0 or value > upper:
-        raise DomainError(f"{name}={value!r} outside the solver domain (0, {upper}]")
+from .prob_core import ROUND_TOL, WEIGHT_TOL, BitsValue, binary_entropy, check_real, check_type
 
 
 @dataclass(frozen=True)
@@ -60,13 +54,11 @@ class RateClassProblem:
     cclass: float
 
     def __post_init__(self) -> None:
-        _check_interval(self.q_x, "q_x")
-        _check_interval(self.q_y, "q_y")
-        _check_interval(self.q_s1, "q_s1")
-        if not math.isfinite(self.rate) or self.rate < 0.0:
-            raise DomainError(f"rate must be finite and >= 0, got {self.rate!r}")
-        if not math.isfinite(self.cclass) or self.cclass < 0.0:
-            raise DomainError(f"cclass must be finite and >= 0, got {self.cclass!r}")
+        check_real(self.q_x, "q_x", "(0, 0.5]")
+        check_real(self.q_y, "q_y", "(0, 0.5]")
+        check_real(self.q_s1, "q_s1", "(0, 0.5]")
+        check_real(self.rate, "rate", "[0, inf)")
+        check_real(self.cclass, "cclass", "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -94,6 +86,7 @@ def label_params(p: RateClassProblem) -> DerivedLabelParams:
     on (q_X, q_S1) alone and are cached by that pair, so every point of a
     sweep shares one immutable result.
     """
+    check_type(p, "p", RateClassProblem)
     return _label_terms(p.q_x, p.q_s1)
 
 

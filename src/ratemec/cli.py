@@ -47,7 +47,7 @@ from .errors import (
     MonotonicityError,
     OracleMismatchError,
 )
-from .prob_core import ORACLE_TOL, ROUND_TOL, Pmf
+from .prob_core import ORACLE_TOL, ROUND_TOL, Pmf, check_real
 
 #: Fixed curve-point schema; columns are never dropped, only left empty.
 SCHEMA = "qx,qy,qs1,rate,cclass,value_bits,p1,p2,p3,p4,case_label,alpha"
@@ -104,8 +104,8 @@ def _config_flags(parser: _Parser, args: argparse.Namespace) -> list[str]:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise DomainError(f"cannot read config file {path!r}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read --config file {path!r}: {exc}") from exc
     known = {key for name in _HANDLERS for key in vars(parser.parse_args([name]))}
     known -= {"command", "config"}
     tokens = []
@@ -135,15 +135,6 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
         raise DomainError("missing required flags: " + ", ".join(missing))
 
 
-def _check_marginals(args: argparse.Namespace) -> None:
-    """The marginal flags lie in (0, 0.5], the domain every subcommand
-    solves on; checked once per run, before any problem is built."""
-    for name in ("qx", "qy", "qs1"):
-        value = getattr(args, name)
-        if value is not None and not 0.0 < value <= 0.5:
-            raise DomainError(f"--{name} must lie in (0, 0.5], got {value!r}")
-
-
 def _check_label_pair(args: argparse.Namespace) -> None:
     if (args.qs1 is None) != (args.cclass is None):
         raise DomainError("--qs1 and --cclass must be given together")
@@ -154,16 +145,17 @@ def _emit(text: str, args: argparse.Namespace) -> None:
     if output is None:
         print(text)
         return
-    path = output
-    if not os.path.isabs(path):
-        base = os.environ.get("RATEMEC_OUTPUT_DIR")
-        if base:
-            path = os.path.join(base, path)
+    # An absolute path, or no RATEMEC_OUTPUT_DIR, leaves the path as given.
+    path = os.path.join(os.environ.get("RATEMEC_OUTPUT_DIR") or "", output)
     parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    try:
+        # open() names what is wrong with an existing parent; makedirs would not.
+        if parent and not os.path.exists(parent):
+            os.makedirs(parent, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write --output {path!r}: {exc.strerror}") from exc
 
 
 def _meta_lines(args: argparse.Namespace) -> list[str]:
@@ -261,14 +253,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.cclass is not None:
             raise DomainError("--cclass conflicts with --var cclass; set the range with --from/--to")
         _require(args, ["rate", "qs1"])
-    for name in ("start", "stop"):
-        value = getattr(args, name)
-        if not math.isfinite(value):
-            raise DomainError(f"--{_FLAG_NAMES[name]} must be finite, got {value!r}")
     # Both budgets are >= 0, so a negative --from names no valid point;
     # rejecting it also keeps stop - start from overflowing to inf.
-    if args.start < 0.0:
-        raise DomainError(f"--from must be >= 0, got {args.start!r}")
+    check_real(args.start, "--from", "[0, inf)")
+    check_real(args.stop, "--to", "(-inf, inf)")
     if not (args.start <= args.stop):
         raise DomainError(f"sweep start {args.start!r} must not exceed stop {args.stop!r}")
     if args.steps < 2:
@@ -307,12 +295,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    from .generic_oracle import (
-        build_polytope,
-        coupling_oracle_theta,
-        enumerate_maps,
-        solve_vertex,
-    )
+    from .generic_oracle import build_polytope, coupling_oracle_theta, enumerate_maps, solve_vertex
 
     _require(args, ["qx", "qy", "rate"])
     _check_label_pair(args)
@@ -340,18 +323,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.grid is not None:
         theta_note = coupling_oracle_theta(args.qx, args.qy, args.grid)
 
-    diff = (
-        abs(closed_value - vertex_value)
-        if closed_value is not None and vertex_value is not None
-        else None
-    )
-    fmt = args.format or "csv"
-    if fmt == "json":
-        payload = {
-            "closed_form_bits": closed_value,
-            "vertex_bits": vertex_value,
-            "abs_diff": diff,
-        }
+    diff = None if None in (closed_value, vertex_value) else abs(closed_value - vertex_value)
+    if (args.format or "csv") == "json":
+        payload = {"closed_form_bits": closed_value, "vertex_bits": vertex_value, "abs_diff": diff}
         if theta_note is not None:
             payload["theta_oracle"] = {"theta": theta_note[0], "value_bits": theta_note[1]}
         text = json.dumps(payload, indent=2)
@@ -504,7 +478,10 @@ def main(argv: list[str] | None = None) -> int:
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_flags(parser, args) + argv[at:])
         args.argv_echo = argv
-        _check_marginals(args)
+        # The domain every subcommand solves on, checked before any problem is built.
+        for name in ("qx", "qy", "qs1"):
+            if getattr(args, name) is not None:
+                check_real(getattr(args, name), f"--{name}", "(0, 0.5]")
         return _HANDLERS[args.command](args)
     except _UsageExit:
         return 1

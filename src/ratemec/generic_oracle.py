@@ -35,16 +35,8 @@ import numpy as np
 from .bernoulli_rate import MapMixture, SolverResult
 from .errors import DimensionCapError, DomainError, InfeasibleError
 from .prob_core import (
-    RANK_TOL,
-    ROUND_TOL,
-    ROW_TOL,
-    WEIGHT_TOL,
-    BitsValue,
-    JointPmf,
-    Pmf,
-    binary_entropy,
-    entropy,
-    mutual_information,
+    RANK_TOL, ROUND_TOL, ROW_TOL, WEIGHT_TOL, BitsValue, JointPmf, Pmf, binary_entropy,
+    check_count, check_real, check_type, entropy, mutual_information,
 )
 
 #: The four deterministic binary maps, one row per map, columns indexed by
@@ -100,9 +92,8 @@ class LinearPolytope:
 
 def frechet_interval(q_x: float, q_y: float) -> tuple[float, float]:
     """(lower, upper) range of the joint cell P(X=1, Y=1) given Bernoulli marginals."""
-    for name, q in (("q_x", q_x), ("q_y", q_y)):
-        if not math.isfinite(q) or q <= 0.0 or q >= 1.0:
-            raise DomainError(f"{name}={q!r} outside (0, 1)")
+    check_real(q_x, "q_x", "(0, 1)")
+    check_real(q_y, "q_y", "(0, 1)")
     return max(0.0, q_x + q_y - 1.0), min(q_x, q_y)
 
 
@@ -122,8 +113,10 @@ def enumerate_maps(
     H(S | f_u(X)) for the label S = X xor S1, which requires a binary
     source alphabet.
     """
-    if n < 2 or k < 2:
-        raise DomainError(f"alphabet sizes must be >= 2, got n={n}, k={k}")
+    check_count(n, "n", "[2, inf)")
+    check_count(k, "k", "[2, inf)")
+    check_type(p_x, "p_x", Pmf)
+    check_count(cap, "cap", "[0, inf)")
     if p_x.size != n:
         raise DomainError(f"p_x has {p_x.size} masses but the source alphabet has {n}")
     count = k**n
@@ -135,8 +128,7 @@ def enumerate_maps(
     if q_s1 is not None:
         if n != 2:
             raise DomainError("the xor label model needs a binary source alphabet")
-        if not math.isfinite(q_s1) or q_s1 <= 0.0 or q_s1 > 0.5:
-            raise DomainError(f"q_s1={q_s1!r} outside the solver domain (0, 0.5]")
+        check_real(q_s1, "q_s1", "(0, 0.5]")
 
     if n == 2 and k == 2:
         maps = BINARY_MAPS.astype(np.int64)
@@ -181,6 +173,8 @@ def build_polytope(
     the label row sum_u w_u H(S | f_u(X)) <= C when given, and one
     nonnegativity row per map.
     """
+    check_type(maps, "maps", MapTable)
+    check_type(p_y, "p_y", Pmf)
     if p_y.size != maps.k:
         raise DomainError(
             f"p_y has {p_y.size} masses but the output alphabet has {maps.k}"
@@ -190,8 +184,7 @@ def build_polytope(
     b_eq = np.concatenate([p_y.masses, [1.0]])
     ub_rows, ub_b, names = [], [], []
     if rate is not None:
-        if not math.isfinite(rate) or rate < 0.0:
-            raise DomainError(f"rate must be finite and >= 0, got {rate!r}")
+        check_real(rate, "rate", "[0, inf)")
         ub_rows.append(maps.entropies)
         ub_b.append(float(rate))
         names.append("rate")
@@ -201,8 +194,7 @@ def build_polytope(
                 "classification budget given but the map table has no label model; "
                 "pass q_s1 to enumerate_maps"
             )
-        if not math.isfinite(cclass) or cclass < 0.0:
-            raise DomainError(f"cclass must be finite and >= 0, got {cclass!r}")
+        check_real(cclass, "cclass", "[0, inf)")
         ub_rows.append(maps.cls_terms)
         ub_b.append(float(cclass))
         names.append("classification")
@@ -287,6 +279,13 @@ def solve_vertex(polytope: LinearPolytope, maps: MapTable, p_x: Pmf) -> SolverRe
     tie rule stay per point, in basis order, so the chunk size bounds
     memory and moves no bit of the result.
     """
+    check_type(polytope, "polytope", LinearPolytope)
+    check_type(maps, "maps", MapTable)
+    check_type(p_x, "p_x", Pmf)
+    if not np.array_equal(p_x.masses, maps.p_x.masses):
+        raise DomainError("p_x differs from the source pmf the map table was built for")
+    if not np.array_equal(polytope.a_eq[:-1], maps.out_pmfs.T):
+        raise DomainError("polytope was built for another map table")
     k, count = polytope.a_eq.shape[0] - 1, polytope.a_eq.shape[1]
     rows, bounds, tols = _budget_rows(polytope)
     b = len(rows)
@@ -355,10 +354,7 @@ def coupling_oracle_theta(q_x: float, q_y: float, grid: int) -> tuple[float, Bit
     min(q_x, q_y).  More than ``MAX_GRID`` points raise
     :class:`DomainError` before any array is allocated.
     """
-    if grid < 2:
-        raise DomainError(f"grid must be >= 2, got {grid!r}")
-    if grid > MAX_GRID:
-        raise DomainError(f"grid allows at most {MAX_GRID} points, got {grid!r}")
+    check_count(grid, "grid", f"[2, {MAX_GRID}]")
     lower, upper = frechet_interval(q_x, q_y)
     thetas = np.unique(
         np.concatenate([np.linspace(lower, upper, int(grid)), [lower, upper]])

@@ -20,15 +20,16 @@ sampling noise at the scales these runs target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .bernoulli_rate import MapMixture, RateProblem
 from .bernoulli_rate_class import RateClassProblem
-from .errors import DomainError
 from .generic_oracle import BINARY_MAPS
-from .prob_core import BitsValue, JointPmf, conditional_entropy, mutual_information
+from .prob_core import (
+    BitsValue, JointPmf, check_count, check_type, conditional_entropy, mutual_information,
+)
 
 #: Draws per chunk of a stream; a stream of at most this many draws
 #: makes one call per variable.
@@ -62,22 +63,11 @@ class SimConfig:
     streams: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.problem, (RateProblem, RateClassProblem)):
-            raise DomainError(
-                f"problem must be a rate or rate-class problem, got {type(self.problem).__name__}"
-            )
-        if not isinstance(self.mixture, MapMixture):
-            raise DomainError(f"mixture must be a MapMixture, got {type(self.mixture).__name__}")
-        if self.samples < 1:
-            raise DomainError(f"samples must be >= 1, got {self.samples!r}")
-        if self.samples > MAX_SAMPLES:
-            raise DomainError(
-                f"samples allows at most {MAX_SAMPLES} draws, got {self.samples!r}"
-            )
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed!r}")
-        if self.streams < 1:
-            raise DomainError(f"streams must be >= 1, got {self.streams!r}")
+        check_type(self.problem, "problem", RateProblem, RateClassProblem)
+        check_type(self.mixture, "mixture", MapMixture)
+        check_count(self.samples, "samples", f"[1, {MAX_SAMPLES}]")
+        check_count(self.seed, "seed", "[0, inf)")
+        check_count(self.streams, "streams", "[1, inf)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +83,7 @@ class SimReport:
     samples: int
     seed: int
     streams: int
+    generator: str = field(default="pcg64", kw_only=True)
     q_y_hat: float
     mi_xy_hat: BitsValue
     h_y_given_u_hat: BitsValue
@@ -101,30 +92,13 @@ class SimReport:
     h_s_given_yu_hat: BitsValue
     counts: np.ndarray = field(repr=False)
     cell_se: np.ndarray = field(repr=False)
-    generator: str = "pcg64"
 
     def to_dict(self) -> dict:
-        """JSON-ready view; arrays become nested lists."""
-        return {
-            "q_x": self.q_x,
-            "q_y": self.q_y,
-            "q_s1": self.q_s1,
-            "rate": self.rate,
-            "cclass": self.cclass,
-            "mixture": list(_as_array(self.mixture)),
-            "samples": self.samples,
-            "seed": self.seed,
-            "streams": self.streams,
-            "generator": self.generator,
-            "q_y_hat": self.q_y_hat,
-            "mi_xy_hat": self.mi_xy_hat,
-            "h_y_given_u_hat": self.h_y_given_u_hat,
-            "h_y_given_xu_hat": self.h_y_given_xu_hat,
-            "h_s_given_y_hat": self.h_s_given_y_hat,
-            "h_s_given_yu_hat": self.h_s_given_yu_hat,
-            "counts": self.counts.tolist(),
-            "cell_se": self.cell_se.tolist(),
-        }
+        """JSON-ready view, keys in field order; arrays become nested lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["mixture"] = list(_as_array(self.mixture))
+        out["counts"], out["cell_se"] = self.counts.tolist(), self.cell_se.tolist()
+        return out
 
 
 def _draw_counts(cfg: SimConfig, q_x: float, q_s1: float) -> np.ndarray:
@@ -182,6 +156,7 @@ def simulate(cfg: SimConfig) -> SimReport:
     the time; the draws go in chunks of at most ``_CHUNK``, which bounds
     the memory.
     """
+    check_type(cfg, "cfg", SimConfig)
     q_x = cfg.problem.q_x
     q_y = cfg.problem.q_y
     q_s1 = getattr(cfg.problem, "q_s1", 0.5)
@@ -240,6 +215,8 @@ def verify_constraints(
     the two numbers side by side.  The classification slacks are None
     when the problem carries no label budget.
     """
+    check_type(report, "report", SimReport)
+    check_type(p, "p", RateProblem, RateClassProblem)
     cclass = getattr(p, "cclass", None)
     return {
         "rate_slack": p.rate - report.h_y_given_u_hat,

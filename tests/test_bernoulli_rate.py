@@ -161,7 +161,7 @@ def test_solve_mixture_matches_target_marginal():
         q_y = rng.uniform(0.01, 0.5)
         rate = rng.uniform(0.0, 1.2)
         res = solve_mecbr(RateProblem(q_x, q_y, rate))
-        assert res.mixture.marginal_residual(q_x, q_y) < 1e-9
+        assert res.mixture.induced_qy(q_x) - q_y < 1e-9
 
 
 def test_solve_respects_rate_budget():

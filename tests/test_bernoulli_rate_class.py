@@ -241,7 +241,7 @@ def test_solution_satisfies_every_constraint_row():
             continue
         m = res.mixture
         lp = label_params(p)
-        assert m.marginal_residual(q_x, q_y) < 1e-8
+        assert m.induced_qy(q_x) - q_y < 1e-8
         assert (m.p1 + m.p2) * binary_entropy(q_x) <= rate + 1e-8
         label_row = (m.p1 + m.p2) * lp.h_b_qs1 + (m.p3 + m.p4) * lp.h_b_m
         assert label_row <= cclass + 1e-8

@@ -474,6 +474,33 @@ class TestConfigAndOutput:
         assert proc.returncode == 0
         assert target.exists()
 
+    def test_output_that_is_a_directory_exits_1_naming_it(self, tmp_path):
+        proc = run_cli("solve", "--qx", "0.2", "--qy", "0.3", "--rate", "0.5",
+                       "--output", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: cannot write --output {str(tmp_path)!r}: Is a directory\n"
+        assert proc.stdout == ""
+
+    def test_output_under_a_file_exits_1_naming_it(self, tmp_path):
+        (tmp_path / "file").write_text("keep")
+        target = str(tmp_path / "file" / "x.csv")
+        proc = run_cli("sweep", "--var", "rate", "--from", "0", "--to", "1", "--steps", "3",
+                       "--qx", "0.2", "--qy", "0.3", "--output", target)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: cannot write --output {target!r}: Not a directory\n"
+        assert (tmp_path / "file").read_text() == "keep"
+
+    def test_config_that_is_not_utf8_exits_1_naming_it(self, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"qx=0.2\nqy=0.3\nrate=0.5\n# caf\xe9\n")
+        proc = run_cli("solve", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: cannot read --config file {str(cfg)!r}: 'utf-8' codec can't decode "
+            "byte 0xe9 in position 28: invalid continuation byte\n"
+        )
+        assert proc.stdout == ""
+
 
 class TestSimulate:
     def test_json_report_with_solver_mixture(self):

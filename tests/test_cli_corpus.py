@@ -32,6 +32,8 @@ value.  The marginal-flag entries pin the one check that rejects
 ``--qx``/``--qy``/``--qs1`` outside (0, 0.5] for every subcommand;
 before it, ``--qx 0.6`` told the user to construct the problem with
 ``extend=True``, and a label problem named ``q_x`` rather than the flag.
+The ``--output`` entries pin the message for a path that cannot be
+written; before it, each ended in a Python traceback.
 """
 
 import hashlib
@@ -229,11 +231,25 @@ ERRORS = {
          "--cclass", "0.9"],
         1, "error: --qs1 must lie in (0, 0.5], got nan\n",
     ),
+    "solve-output-empty": (
+        ["solve", "--qx", "0.2", "--qy", "0.3", "--rate", "0.5", "--output", ""],
+        1, "error: cannot write --output '': No such file or directory\n",
+    ),
+    "solve-output-root-directory": (
+        ["solve", "--qx", "0.2", "--qy", "0.3", "--rate", "0.5", "--output", "/"],
+        1, "error: cannot write --output '/': Is a directory\n",
+    ),
+    "sweep-output-under-a-file": (
+        [*_SWEEP, "--var", "rate", *_UNIT, "--steps", "3", "--output", "/dev/null/x.csv"],
+        1, "error: cannot write --output '/dev/null/x.csv': Not a directory\n",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ERRORS))
-def test_error_paths_keep_their_exit_code_and_stderr(name, capsys):
+def test_error_paths_keep_their_exit_code_and_stderr(name, capsys, monkeypatch):
+    # A relative --output would resolve under this variable.
+    monkeypatch.delenv("RATEMEC_OUTPUT_DIR", raising=False)
     argv, code, stderr = ERRORS[name]
     assert cli.main(argv) == code
     captured = capsys.readouterr()
