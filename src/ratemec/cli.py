@@ -33,6 +33,7 @@ tests can exercise the mismatch exit path without breaking a solver.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -47,7 +48,7 @@ from .errors import (
     MonotonicityError,
     OracleMismatchError,
 )
-from .prob_core import ORACLE_TOL, ROUND_TOL, Pmf, check_real
+from .prob_core import ORACLE_TOL, ROUND_TOL, Pmf, check_count, check_real
 
 #: Fixed curve-point schema; columns are never dropped, only left empty.
 SCHEMA = "qx,qy,qs1,rate,cclass,value_bits,p1,p2,p3,p4,case_label,alpha"
@@ -295,10 +296,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    from .generic_oracle import build_polytope, coupling_oracle_theta, enumerate_maps, solve_vertex
+    from .generic_oracle import (
+        MAX_GRID, build_polytope, coupling_oracle_theta, enumerate_maps, solve_vertex,
+    )
 
     _require(args, ["qx", "qy", "rate"])
     _check_label_pair(args)
+    if args.grid is not None:
+        # Before any solving, so a bad --grid costs no vertex solve.
+        check_count(args.grid, "grid", f"[2, {MAX_GRID}]")
 
     closed_value: float | None = None
     try:
@@ -419,7 +425,10 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                         "resolve under $RATEMEC_OUTPUT_DIR when set")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged,
+    and building it costs about ten times a parse."""
     parser = _Parser(
         prog="ratemec",
         description="Rate- and classification-constrained maximum-information "

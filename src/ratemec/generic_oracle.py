@@ -11,10 +11,15 @@ Two independent oracles cross-check the closed-form solvers:
   vertex, the basic solution of some basis of the standard form: the k
   marginal rows plus a slack column for each budget row that can cut
   the simplex (the others are dropped).  Bases are taken in
-  lexicographic chunks, and each chunk's rank tests and solves are one
-  stacked numpy call; the residual check, the scoring and the tie rule
-  stay per point, in basis order.  Ties go to the smaller support, then
-  to the first basis.
+  lexicographic chunks.  A chunk is rank-tested by one stacked
+  determinant, which certifies most bases; only the doubtful ones take
+  the singular values.  Its bases are solved by one stacked call, and
+  the points that pass the sign test are scored as one stack.  A point
+  whose stacked score lies clearly below the running best is skipped;
+  every other point takes the residual check, the exact scoring and the
+  tie rule, one at a time in basis order.  Both screens are sound, so
+  the answer is bit for bit that of the plain enumeration.  Ties go to
+  the smaller support, then to the first basis.
 - :func:`coupling_oracle_theta` scans the single free cell of a 2x2
   coupling over its Frechet interval, verifying the unconstrained
   maximum-information coupling value without reference to map mixtures.
@@ -53,6 +58,12 @@ MAX_BASES = 100_000
 # Bases per stacked rank test and solve in solve_vertex; bounds its
 # memory for any basis count up to MAX_BASES.
 _CHUNK = 1024
+
+# How far, beyond ROUND_TOL, a point's stacked information score must lie
+# below the running best for solve_vertex to skip its exact scoring: two
+# orders of magnitude above the stacked scorer's rounding at any size
+# MAX_BASES allows.
+_SCORE_MARGIN = 1e-12
 
 #: Ceiling on the number of points :func:`coupling_oracle_theta` may scan.
 MAX_GRID = 1_000_000
@@ -255,42 +266,18 @@ def _budget_rows(polytope: LinearPolytope):
     return rows, bounds, tols
 
 
-def solve_vertex(polytope: LinearPolytope, maps: MapTable, p_x: Pmf) -> SolverResult:
-    """Maximize I(X;Y) over the polytope by basic-feasible-point enumeration.
+def _standard_form(polytope: LinearPolytope) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The standard form :func:`solve_vertex` enumerates: matrix, right-hand
+    side and each column's sign tolerance.
 
-    Standard form: the k marginal rows (the simplex row is their sum and
-    is dropped) and each budget row :func:`_budget_rows` keeps, with a
-    slack column.  Each of the C(count + b, k + b) column subsets whose
-    submatrix has full rank at ``RANK_TOL`` is a basis; its basic solution
-    is kept when every component is at least minus its tolerance
-    (``ROW_TOL``, the label slack ``WEIGHT_TOL``) and it meets all of
-    ``a_eq`` within ``ROW_TOL``.  Kept points are scored by mutual
-    information after a clamp-and-renormalize projection.  Ties within
-    ``ROUND_TOL`` go to the smaller support (weights above
-    ``WEIGHT_TOL``; an optimal mixture never needs more than k + 1
-    maps), then to the first basis in lexicographic order.  More than
-    ``MAX_BASES`` bases raise :class:`DimensionCapError` before any is
-    solved.
-
-    The subsets go in lexicographic chunks of ``_CHUNK``.  One stacked
-    singular-value call rank-tests a chunk (the count ``matrix_rank``
-    takes), one stacked ``solve`` solves its bases, and the sign test
-    runs on the whole chunk.  The residual check, the scoring and the
-    tie rule stay per point, in basis order, so the chunk size bounds
-    memory and moves no bit of the result.
+    The k marginal rows (the simplex row is their sum and is dropped)
+    and each budget row :func:`_budget_rows` keeps, with a slack column.
+    More than ``MAX_BASES`` bases raise :class:`DimensionCapError`.
     """
-    check_type(polytope, "polytope", LinearPolytope)
-    check_type(maps, "maps", MapTable)
-    check_type(p_x, "p_x", Pmf)
-    if not np.array_equal(p_x.masses, maps.p_x.masses):
-        raise DomainError("p_x differs from the source pmf the map table was built for")
-    if not np.array_equal(polytope.a_eq[:-1], maps.out_pmfs.T):
-        raise DomainError("polytope was built for another map table")
     k, count = polytope.a_eq.shape[0] - 1, polytope.a_eq.shape[1]
     rows, bounds, tols = _budget_rows(polytope)
     b = len(rows)
-    m = k + b
-    bases = math.comb(count + b, m)
+    bases = math.comb(count + b, k + b)
     if bases > MAX_BASES:
         raise DimensionCapError(
             f"{count} maps with {b} budget rows give {bases} bases, "
@@ -301,26 +288,119 @@ def solve_vertex(polytope: LinearPolytope, maps: MapTable, p_x: Pmf) -> SolverRe
         [np.reshape(rows, (b, count)), np.eye(b)],
     ])
     rhs = np.concatenate([polytope.b_eq[:k], bounds])
-    tol = np.concatenate([np.full(count, ROW_TOL), tols])
+    return a, rhs, np.concatenate([np.full(count, ROW_TOL), tols])
+
+
+def _rank_screen(subs: np.ndarray, a_norm: float) -> np.ndarray:
+    """Mask of the stacked square submatrices whose determinant alone
+    proves rank m at ``RANK_TOL``.
+
+    |det| <= sigma_min * sigma_max**(m - 1), and no column subset of a
+    matrix of 2-norm ``a_norm`` has sigma_max above it, so |det| above
+    ``RANK_TOL * a_norm**(m - 1)`` puts sigma_min above ``RANK_TOL``; the
+    factor 2 covers the backward error of the LU factorization behind
+    ``det``.  An unmarked submatrix may still have full rank.
+    """
+    m = subs.shape[-1]
+    return np.abs(np.linalg.det(subs)) > 2.0 * RANK_TOL * a_norm ** (m - 1)
+
+
+def _full_rank(subs: np.ndarray, a_norm: float) -> np.ndarray:
+    """The ``matrix_rank`` count at ``RANK_TOL`` on a stack, as a full-rank
+    mask; only the submatrices :func:`_rank_screen` leaves in doubt go
+    through the singular values."""
+    full = _rank_screen(subs, a_norm)
+    doubt = ~full
+    if doubt.any():
+        singular = np.linalg.svd(subs[doubt], compute_uv=False)
+        full[doubt] = np.count_nonzero(singular > RANK_TOL, axis=-1) == subs.shape[-1]
+    return full
+
+
+def _info_bounds(maps: MapTable, p_x: Pmf, w: np.ndarray) -> np.ndarray:
+    """I(X;Y) in bits of each row of ``w`` after the clamp-and-renormalize
+    projection, scored as one stack.
+
+    The joint is summed over the maps in the order
+    :func:`_joint_from_weights` uses, so each value lies within
+    rounding (about 1e-14 bits) of the exact scorer's; a row with no
+    positive weight gives NaN.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.clip(w, 0.0, None)
+        w /= w.sum(axis=1, keepdims=True)
+        cond = np.zeros((w.shape[0], maps.n, maps.k))
+        cells = np.arange(maps.n)
+        for u, f in enumerate(maps.maps):
+            cond[:, cells, f] += w[:, u, None]
+        joint = p_x.masses[:, None] * cond
+
+        def h(t: np.ndarray) -> np.ndarray:
+            terms = t * np.log2(np.where(t > 0.0, t, 1.0))
+            return -terms.sum(axis=tuple(range(1, t.ndim)))
+
+        return h(joint.sum(axis=2)) + h(joint.sum(axis=1)) - h(joint)
+
+
+def solve_vertex(polytope: LinearPolytope, maps: MapTable, p_x: Pmf) -> SolverResult:
+    """Maximize I(X;Y) over the polytope by basic-feasible-point enumeration.
+
+    Standard form (:func:`_standard_form`): the k marginal rows and each
+    budget row :func:`_budget_rows` keeps, with a slack column.  Each of
+    the C(count + b, k + b) column subsets whose submatrix has full rank
+    at ``RANK_TOL`` is a basis; its basic solution is kept when every
+    component is at least minus its tolerance (``ROW_TOL``, the label
+    slack ``WEIGHT_TOL``) and it meets all of ``a_eq`` within
+    ``ROW_TOL``.  Kept points are scored by mutual information after a
+    clamp-and-renormalize projection.  Ties within ``ROUND_TOL`` go to
+    the smaller support (weights above ``WEIGHT_TOL``; an optimal
+    mixture never needs more than k + 1 maps), then to the first basis
+    in lexicographic order.  More than ``MAX_BASES`` bases raise
+    :class:`DimensionCapError` before any is solved.
+
+    The subsets go in lexicographic chunks of ``_CHUNK``.  A chunk is
+    rank-tested by one stacked determinant (:func:`_rank_screen`), and
+    only the submatrices it leaves in doubt take the singular-value
+    count ``matrix_rank`` uses; one stacked ``solve`` solves the bases,
+    and the sign test runs on the whole chunk.  The points that pass it
+    are scored as one stack (:func:`_info_bounds`); a point whose stacked
+    score lies more than ``ROUND_TOL + _SCORE_MARGIN`` below the running
+    best can neither beat nor tie it and is skipped.  Every other point
+    takes the residual check, the exact scoring and the tie rule, one at
+    a time in basis order.  Both screens are sound and the chunk size
+    bounds memory, so none of them moves a bit of the result.
+    """
+    check_type(polytope, "polytope", LinearPolytope)
+    check_type(maps, "maps", MapTable)
+    check_type(p_x, "p_x", Pmf)
+    if not np.array_equal(p_x.masses, maps.p_x.masses):
+        raise DomainError("p_x differs from the source pmf the map table was built for")
+    if not np.array_equal(polytope.a_eq[:-1], maps.out_pmfs.T):
+        raise DomainError("polytope was built for another map table")
+    a, rhs, tol = _standard_form(polytope)
+    m, count = a.shape[0], polytope.a_eq.shape[1]
+    a_norm = float(np.linalg.norm(a, 2))
 
     best_value = -1.0
     best_weights: np.ndarray | None = None
     best_support = count + 1
-    combos = combinations(range(count + b), m)
+    combos = combinations(range(a.shape[1]), m)
     for chunk in iter(lambda: list(islice(combos, _CHUNK)), []):
         basis = np.array(chunk, dtype=np.intp)
         subs = a[:, basis].transpose(1, 0, 2)
-        singular = np.linalg.svd(subs, compute_uv=False)
-        full = np.count_nonzero(singular > RANK_TOL, axis=-1) == m
+        full = _full_rank(subs, a_norm)
         basis = basis[full]
         n = basis.shape[0]
         # An (n, m, 1) right-hand side is a stack of columns under every
         # numpy >= 1.24; a 1-D one broadcasts differently from 2.0 on.
         sol = np.linalg.solve(subs[full], np.broadcast_to(rhs[:, None], (n, m, 1)))
-        x = np.zeros((n, count + b))
+        x = np.zeros((n, a.shape[1]))
         x[np.arange(n)[:, None], basis] = sol[..., 0]
-        for point in x[~np.any(x < -tol, axis=1)]:
-            w = point[:count]
+        points = x[~np.any(x < -tol, axis=1), :count]
+        for w, bound in zip(points, _info_bounds(maps, p_x, points).tolist()):
+            # A NaN bound (no positive weight) is never below, so never skipped.
+            if bound < best_value - ROUND_TOL - _SCORE_MARGIN:
+                continue
             if np.max(np.abs(polytope.a_eq @ w - polytope.b_eq)) > ROW_TOL:
                 continue
             clipped = np.clip(w, 0.0, None)

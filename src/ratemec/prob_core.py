@@ -45,8 +45,10 @@ Every public entry point and CLI flag checks its inputs here, so each
 rule and message exists once: :func:`check_real` takes a real number in
 an interval written as text, such as ``"(0, 0.5]"`` or ``"[0, inf)"``
 (an infinite end is open, so the number is finite), :func:`check_count`
-an integer in one, and :func:`check_type` an instance of a class.  A
-non-number, a bool or a non-integral count is rejected, never coerced,
+an integer in one (compared exactly with a finite end; an int past the
+float range lies inside an infinite one), and :func:`check_type` an
+instance of a class.  A non-number, a bool or a non-integral count is
+rejected, never coerced,
 with a :class:`~ratemec.errors.DomainError` shaped ``q_x must lie in
 (0, 0.5], got 0.6``, ``rate must be >= 0, got -1.0``, ``rate must be
 finite, got inf``, ``q_x must be a real number, got '0.2'``, ``seed
@@ -56,8 +58,10 @@ a numpy scalar shows as the number it holds.  Two clamps within
 bits, and ``MapMixture`` clamps its components and renormalizes them.
 
 Work bounds (``MAX_BASES``, ``MAX_GRID``, ``MAX_STEPS``,
-``MAX_SAMPLES``, ``DEFAULT_MAP_CAP``) and the log floor of the grid scan
-are not tolerances and live with their code.
+``MAX_SAMPLES``, ``DEFAULT_MAP_CAP``), the log floor of the grid scan
+and the vertex oracle's score-screen margin, which decides only which
+points are scored exactly and moves no result, are not tolerances and
+live with their code.
 
 numpy is imported inside the functions that build or reduce arrays, so
 the tolerances and ``binary_entropy``, which are all that the closed
@@ -77,6 +81,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -153,7 +158,12 @@ def check_count(value, name: str, interval: str) -> None:
     """:func:`check_real` for a count: an int or numpy integer, never a bool or float."""
     if type(value) is bool or value.__hash__ is None or not hasattr(value, "__index__"):
         raise DomainError(f"{name} must be an integer, got {_shown(value)}")
-    check_real(operator.index(value), name, interval)
+    number = operator.index(value)
+    # An int past the largest float is finite all the same: an infinite
+    # end of the interval takes it, where its float bound would not.
+    if abs(number) > sys.float_info.max and ("-inf" if number < 0 else "inf)") in interval:
+        return
+    check_real(number, name, interval)
 
 
 def check_type(value, name: str, *kinds: type) -> None:

@@ -304,6 +304,23 @@ class TestOracle:
         assert "1000000" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("grid", ["0", "1", "1000001"])
+    def test_bad_grid_exits_1_before_any_solve(self, monkeypatch, capsys, grid):
+        import ratemec.generic_oracle as go
+
+        def must_not_run(*args):
+            raise AssertionError("solved before --grid was checked")
+
+        monkeypatch.setattr(go, "solve_vertex", must_not_run)
+        monkeypatch.setattr(cli, "_solve", must_not_run)
+        code = cli.main([
+            "oracle", "--qx", "0.2", "--qy", "0.3", "--rate", "0.5", "--grid", grid,
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: grid must lie in [2, 1000000], got {grid}\n"
+        assert captured.out == ""
+
     def test_matching_infeasibility_verdicts_exit_0(self):
         proc = run_cli(
             "oracle", "--qx", "0.3", "--qy", "0.4", "--rate", "0.2",
@@ -399,6 +416,31 @@ class TestOracle:
         assert proc.returncode == 0, proc.stderr
         data = [ln for ln in proc.stdout.splitlines() if not ln.startswith("#")]
         assert float(data[1].split(",")[2]) <= 1e-8
+
+
+class TestParserReuse:
+    def test_one_process_prints_what_fresh_processes_print(self, monkeypatch, capsys, tmp_path):
+        # The parser is built once per process; a usage error, a --config
+        # run and a good run must not leave it changed for the next call.
+        monkeypatch.setenv("COLUMNS", "80")
+        cfg = tmp_path / "point.cfg"
+        cfg.write_text("qx=0.2\nqy=0.3\n")
+        calls = [
+            ["solve", "--qx"],
+            ["solve", "--config", str(cfg), "--rate", "0.5"],
+            ["solve", "--qx", "0.31", "--qy", "0.44", "--rate", "0.7"],
+        ]
+        fresh = []
+        for argv in calls:
+            proc = run_cli(*argv)
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [code for code, _, _ in fresh] == [1, 0, 0]
+        for _ in range(2):
+            for argv, expected in zip(calls, fresh):
+                code = cli.main(argv)
+                captured = capsys.readouterr()
+                assert (code, captured.out, captured.err) == expected, argv
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestConfigAndOutput:

@@ -331,6 +331,25 @@ def test_check_count_message_shapes(value, message):
     check_count(10**30, "n", "[2, inf)")
 
 
+def test_count_past_the_float_range_fits_an_infinite_end_only():
+    from ratemec.prob_core import check_count
+
+    # SeedSequence takes any non-negative int, so SimConfig must too.
+    SimConfig(_rate_problem(), MapMixture(1.0, 0.0, 0.0, 0.0), 10, 2**1024)
+    check_count(2**1024, "n", "[2, inf)")
+    check_count(-(2**1024), "n", "(-inf, 0]")
+    # A finite bound stays an exact int comparison.
+    check_count(2**53, "n", "[2, 9007199254740992]")
+    for value, interval, message in [
+        (2**53 + 1, "[2, 9007199254740992]", "n must lie in [2, 9007199254740992], got 9007199254740993"),
+        (2**1024, "[2, 10]", f"n must lie in [2, 10], got {2**1024}"),
+        (-(2**1024), "[0, inf)", f"n must be >= 0, got {-(2**1024)}"),
+    ]:
+        with pytest.raises(ratemec.DomainError) as exc_info:
+            check_count(value, "n", interval)
+        assert str(exc_info.value) == message
+
+
 def test_check_type_names_the_expected_and_the_given_class():
     from ratemec.prob_core import check_type
 
