@@ -453,8 +453,10 @@ def _build_parser() -> _Parser:
                                              "vertex-enumeration oracle")
     _add_common_flags(oracle_p)
     oracle_p.add_argument("--grid", type=int, default=None,
-                          help="also run the coupling-cell grid oracle at this "
-                               "many points")
+                          help="also run the coupling-cell theta oracle; it "
+                               "evaluates both ends of the Frechet interval, "
+                               "so the value (2 to 1000000) does not change "
+                               "the result")
 
     sim_p = sub.add_parser("simulate", help="Monte Carlo check of a mixture")
     _add_common_flags(sim_p)

@@ -11,18 +11,21 @@ Two independent oracles cross-check the closed-form solvers:
   vertex, the basic solution of some basis of the standard form: the k
   marginal rows plus a slack column for each budget row that can cut
   the simplex (the others are dropped).  Bases are taken in
-  lexicographic chunks.  A chunk is rank-tested by one stacked
-  determinant, which certifies most bases; only the doubtful ones take
-  the singular values.  Its bases are solved by one stacked call, and
-  the points that pass the sign test are scored as one stack.  A point
-  whose stacked score lies clearly below the running best is skipped;
-  every other point takes the residual check, the exact scoring and the
-  tie rule, one at a time in basis order.  Both screens are sound, so
-  the answer is bit for bit that of the plain enumeration.  Ties go to
-  the smaller support, then to the first basis.
-- :func:`coupling_oracle_theta` scans the single free cell of a 2x2
-  coupling over its Frechet interval, verifying the unconstrained
-  maximum-information coupling value without reference to map mixtures.
+  lexicographic chunks of one cached index table per shape.  A chunk is
+  rank-tested by one stacked determinant, which certifies most bases;
+  only the doubtful ones take the singular values.  Its bases are
+  solved by one stacked call, and the points that pass the sign test
+  are scored as one stack.  A point whose stacked score lies clearly
+  below the running best is skipped; every other point takes the
+  residual check, the exact scoring and the tie rule, one at a time in
+  basis order.  Both screens are sound, so the answer is bit for bit
+  that of the plain enumeration.  Ties go to the smaller support, then
+  to the first basis.
+- :func:`coupling_oracle_theta` evaluates I(X;Y) at the two ends of the
+  Frechet interval of the single free cell of a 2x2 coupling, verifying
+  the unconstrained maximum-information coupling value without
+  reference to map mixtures.  I is convex in that cell, so no interior
+  point can beat the better end.
 
 Dimensions stay tiny (the map count k**n and the basis count are
 capped), so exhaustive enumeration with explicit tolerances beats
@@ -33,7 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from functools import lru_cache
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -65,7 +69,7 @@ _CHUNK = 1024
 # MAX_BASES allows.
 _SCORE_MARGIN = 1e-12
 
-#: Ceiling on the number of points :func:`coupling_oracle_theta` may scan.
+#: Ceiling on the ``grid`` :func:`coupling_oracle_theta` accepts.
 MAX_GRID = 1_000_000
 
 _NO_POINT = "no basic feasible point satisfies every constraint row"
@@ -291,6 +295,23 @@ def _standard_form(polytope: LinearPolytope) -> tuple[np.ndarray, np.ndarray, np
     return a, rhs, np.concatenate([np.full(count, ROW_TOL), tols])
 
 
+@lru_cache(maxsize=8)
+def _bases(columns: int, m: int) -> np.ndarray:
+    """Every m-subset of ``range(columns)`` as a read-only (count, m) index
+    table, one row per subset in ``combinations`` order.
+
+    Built once per shape; callers check the count against ``MAX_BASES``
+    first (:func:`_standard_form`), so a table never outgrows that bound.
+    """
+    count = math.comb(columns, m)
+    flat = np.fromiter(
+        chain.from_iterable(combinations(range(columns), m)), np.intp, count * m
+    )
+    table = flat.reshape(count, m)
+    table.flags.writeable = False
+    return table
+
+
 def _rank_screen(subs: np.ndarray, a_norm: float) -> np.ndarray:
     """Mask of the stacked square submatrices whose determinant alone
     proves rank m at ``RANK_TOL``.
@@ -321,19 +342,20 @@ def _info_bounds(maps: MapTable, p_x: Pmf, w: np.ndarray) -> np.ndarray:
     """I(X;Y) in bits of each row of ``w`` after the clamp-and-renormalize
     projection, scored as one stack.
 
-    The joint is summed over the maps in the order
-    :func:`_joint_from_weights` uses, so each value lies within
-    rounding (about 1e-14 bits) of the exact scorer's; a row with no
-    positive weight gives NaN.
+    The conditional table P(Y|X) of every row comes from one product
+    with the maps' (count, n * k) one-hot table, so its sums run in
+    another order than :func:`_joint_from_weights`' loop; each value
+    still lies within rounding (about 1e-14 bits) of the exact scorer's,
+    far inside the screen's margin.  A row with no positive weight
+    gives NaN.
     """
+    count, n, k = maps.maps.shape[0], maps.n, maps.k
+    onehot = np.zeros((count, n * k))
+    onehot[np.arange(count)[:, None], np.arange(n) * k + maps.maps] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.clip(w, 0.0, None)
         w /= w.sum(axis=1, keepdims=True)
-        cond = np.zeros((w.shape[0], maps.n, maps.k))
-        cells = np.arange(maps.n)
-        for u, f in enumerate(maps.maps):
-            cond[:, cells, f] += w[:, u, None]
-        joint = p_x.masses[:, None] * cond
+        joint = p_x.masses[:, None] * (w @ onehot).reshape(-1, n, k)
 
         def h(t: np.ndarray) -> np.ndarray:
             terms = t * np.log2(np.where(t > 0.0, t, 1.0))
@@ -358,12 +380,14 @@ def solve_vertex(polytope: LinearPolytope, maps: MapTable, p_x: Pmf) -> SolverRe
     in lexicographic order.  More than ``MAX_BASES`` bases raise
     :class:`DimensionCapError` before any is solved.
 
-    The subsets go in lexicographic chunks of ``_CHUNK``.  A chunk is
-    rank-tested by one stacked determinant (:func:`_rank_screen`), and
-    only the submatrices it leaves in doubt take the singular-value
-    count ``matrix_rank`` uses; one stacked ``solve`` solves the bases,
-    and the sign test runs on the whole chunk.  The points that pass it
-    are scored as one stack (:func:`_info_bounds`); a point whose stacked
+    The subsets go in lexicographic chunks of ``_CHUNK``, slices of one
+    index table per shape (:func:`_bases`).  A chunk is rank-tested by
+    one stacked determinant (:func:`_rank_screen`), and only the
+    submatrices it leaves in doubt take the singular-value count
+    ``matrix_rank`` uses; one stacked ``solve`` solves the bases, and the
+    sign test runs on the stacked basic solutions, so only the bases that
+    pass it are scattered into full-width points.  Those points are
+    scored as one stack (:func:`_info_bounds`); a point whose stacked
     score lies more than ``ROUND_TOL + _SCORE_MARGIN`` below the running
     best can neither beat nor tie it and is skipped.  Every other point
     takes the residual check, the exact scoring and the tie rule, one at
@@ -384,19 +408,22 @@ def solve_vertex(polytope: LinearPolytope, maps: MapTable, p_x: Pmf) -> SolverRe
     best_value = -1.0
     best_weights: np.ndarray | None = None
     best_support = count + 1
-    combos = combinations(range(a.shape[1]), m)
-    for chunk in iter(lambda: list(islice(combos, _CHUNK)), []):
-        basis = np.array(chunk, dtype=np.intp)
+    table = _bases(a.shape[1], m)
+    for start in range(0, table.shape[0], _CHUNK):
+        basis = table[start:start + _CHUNK]
         subs = a[:, basis].transpose(1, 0, 2)
         full = _full_rank(subs, a_norm)
         basis = basis[full]
         n = basis.shape[0]
         # An (n, m, 1) right-hand side is a stack of columns under every
         # numpy >= 1.24; a 1-D one broadcasts differently from 2.0 on.
-        sol = np.linalg.solve(subs[full], np.broadcast_to(rhs[:, None], (n, m, 1)))
-        x = np.zeros((n, a.shape[1]))
-        x[np.arange(n)[:, None], basis] = sol[..., 0]
-        points = x[~np.any(x < -tol, axis=1), :count]
+        sol = np.linalg.solve(subs[full], np.broadcast_to(rhs[:, None], (n, m, 1)))[..., 0]
+        # Columns outside a basis are 0, which passes every sign test.
+        signs = ~np.any(sol < -tol[basis], axis=1)
+        basis, sol = basis[signs], sol[signs]
+        x = np.zeros((basis.shape[0], a.shape[1]))
+        x[np.arange(basis.shape[0])[:, None], basis] = sol
+        points = x[:, :count]
         for w, bound in zip(points, _info_bounds(maps, p_x, points).tolist()):
             # A NaN bound (no positive weight) is never below, so never skipped.
             if bound < best_value - ROUND_TOL - _SCORE_MARGIN:
@@ -425,20 +452,20 @@ def solve_vertex(polytope: LinearPolytope, maps: MapTable, p_x: Pmf) -> SolverRe
 
 
 def coupling_oracle_theta(q_x: float, q_y: float, grid: int) -> tuple[float, BitsValue]:
-    """Grid-scan the free cell of a 2x2 coupling for maximum information.
+    """The free cell of a 2x2 coupling that carries the most information.
 
-    Evaluates I(X;Y) at ``grid`` equally spaced values of
-    theta = P(X=1, Y=1) across the Frechet interval (both endpoints are
-    always included) and returns the maximizing theta with its value in
-    bits.  For marginals in (0, 1/2] the maximizer is the upper endpoint
-    min(q_x, q_y).  More than ``MAX_GRID`` points raise
-    :class:`DomainError` before any array is allocated.
+    Returns theta = P(X=1, Y=1) and I(X;Y) in bits at the better end of
+    the Frechet interval, the lower end on a tie.  I is convex in theta,
+    so no interior point beats the better end.  The ``grid``-point scan
+    this oracle once ran (both ends always among its points) returned
+    the same bits whenever both marginals are at least 1e-12; below
+    that its interior points could win by rounding alone.  So ``grid``
+    no longer changes the result; it is still checked against
+    ``[2, MAX_GRID]``, as the CLI's ``--grid`` flag passes it.  For
+    marginals in (0, 1/2) the maximizer is the upper end min(q_x, q_y).
     """
     check_count(grid, "grid", f"[2, {MAX_GRID}]")
-    lower, upper = frechet_interval(q_x, q_y)
-    thetas = np.unique(
-        np.concatenate([np.linspace(lower, upper, int(grid)), [lower, upper]])
-    )
+    thetas = np.array(frechet_interval(q_x, q_y))
 
     def cell_term(c: np.ndarray, px: float, py: float) -> np.ndarray:
         safe = np.maximum(c, 1e-300)
@@ -454,5 +481,6 @@ def coupling_oracle_theta(q_x: float, q_y: float, grid: int) -> tuple[float, Bit
         + cell_term(p01, 1.0 - q_x, q_y)
         + cell_term(p00, 1.0 - q_x, 1.0 - q_y)
     )
+    # The first maximum, as np.argmax took it over the sorted scan.
     idx = int(np.argmax(info))
     return float(thetas[idx]), max(float(info[idx]), 0.0)

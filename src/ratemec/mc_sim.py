@@ -35,6 +35,10 @@ from .prob_core import (
 #: makes one call per variable.
 _CHUNK = 1 << 20
 
+# Codes per bincount call: bincount casts its uint8 input to intp, so a
+# whole chunk would make an 8 MiB temporary; a slice makes 512 KiB.
+_COUNT_SLICE = 1 << 16
+
 #: Ceiling on the draws of one run, checked before any draw: 10^9 draws
 #: take about 9 s (8.8 s measured on 2 shared vCPUs).
 MAX_SAMPLES = 10**9
@@ -110,8 +114,9 @@ def _draw_counts(cfg: SimConfig, q_x: float, q_s1: float) -> np.ndarray:
     yields the same table.  U is what ``rng.choice(4, p=weights)`` would
     draw from the same generator: ``choice`` draws ``rng.random(k)`` and
     counts the cdf entries <= each draw, and cdf[3] is exactly 1.  A
-    chunk reduces to one uint8 code (u << 2) | (x << 1) | s1 per draw;
-    the 16 code counts are placed in the table once per call.
+    chunk reduces to one uint8 code (u << 2) | (x << 1) | s1 per draw,
+    counted in slices of ``_COUNT_SLICE`` codes; the 16 code counts are
+    placed in the table once per call.
     """
     base, extra = divmod(cfg.samples, cfg.streams)
     cdf = _as_array(cfg.mixture).cumsum()
@@ -140,7 +145,8 @@ def _draw_counts(cfg: SimConfig, q_x: float, q_s1: float) -> np.ndarray:
             rng.random(out=r)
             code <<= 1
             code |= r < q_s1
-            code_counts += np.bincount(code, minlength=16)
+            for lo in range(0, k, _COUNT_SLICE):
+                code_counts += np.bincount(code[lo:lo + _COUNT_SLICE], minlength=16)
 
     # Y is BINARY_MAPS[u, x] and S is X xor S1: one table cell per code.
     u, x, s1 = np.indices((4, 2, 2)).reshape(3, 16)
